@@ -109,6 +109,7 @@ fn error_class(e: &PersistError) -> &'static str {
         PersistError::TruncatedFrame { .. } => "truncated_frame",
         PersistError::BadMagic { .. } => "bad_magic",
         PersistError::UnsupportedVersion { .. } => "unsupported_version",
+        PersistError::OversizedPayload { .. } => "oversized_payload",
         PersistError::ChecksumMismatch { .. } => "checksum_mismatch",
         PersistError::UnknownFrameKind { .. } => "unknown_frame_kind",
         PersistError::CorruptMidStream { .. } => "corrupt_mid_stream",

@@ -10,11 +10,10 @@
 //!
 //! The crate splits into three layers:
 //!
-//! * [`proto`] — the wire format: length-prefixed, CRC-framed binary
-//!   messages following the `fleetstate::format` conventions (magic,
-//!   version, kind, length, payload, CRC-32). Decoding arbitrary bytes
-//!   never panics; every failure is a typed, offset-carrying
-//!   [`proto::WireError`].
+//! * [`proto`] — the wire format: each message is one frame of the
+//!   container in [`fleetstate::format`] (layout table there) under its
+//!   own magic `FLTD`. Decoding arbitrary bytes never panics; every
+//!   failure is a typed, offset-carrying [`proto::WireError`].
 //! * [`server`] — the daemon: a single engine thread owning the
 //!   journaled fleet, a bounded ingest queue with explicit
 //!   [`proto::Reply::Busy`] backpressure, and per-connection threads.

@@ -1,49 +1,36 @@
 //! The `fleetd` wire protocol: length-prefixed, CRC-framed binary
 //! messages over a byte stream.
 //!
-//! Every message is one **frame**, mirroring the
-//! [`fleetstate::format`] container conventions with
-//! its own magic so the two can never be confused:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "FLTD"
-//! 4       2     protocol version (little-endian u16, currently 1)
-//! 6       1     message kind (see [`Request`] / [`Reply`] kind bytes)
-//! 7       1     reserved (zero)
-//! 8       4     payload length (little-endian u32)
-//! 12      n     payload
-//! 12+n    4     CRC-32 (IEEE) over bytes [0, 12+n)
-//! ```
-//!
-//! All integers are little-endian; floats are IEEE-754 bit patterns.
-//! Request kinds live in `[1, 63]`, reply kinds in `[64, 127]`, so a
-//! stray reply can never parse as a request. The decoder is total:
-//! arbitrary bytes produce a typed, offset-carrying [`WireError`] —
-//! never a panic, never an unbounded allocation (`payload length` is
-//! capped at [`MAX_PAYLOAD`] *before* any buffer is sized).
+//! Every message is one frame of the shared container described in
+//! [`fleetstate::format`] (layout table there), with its own magic
+//! `FLTD` and payload cap [`MAX_PAYLOAD`] so a message and a journal or
+//! snapshot frame can never be confused. Request kinds live in
+//! `[1, 63]`, reply kinds in `[64, 127]`, so a stray reply can never
+//! parse as a request. The decoder is total: arbitrary bytes produce a
+//! typed, offset-carrying [`WireError`] — never a panic, never an
+//! unbounded allocation (the payload length is checked against
+//! [`MAX_PAYLOAD`] *before* any buffer is sized).
 
+use fleetstate::format::{
+    put_f64, put_f64s, put_u32, put_u64, read_payload, Container, Cursor, FrameError, PayloadError,
+};
+use fleetstate::state::{decode_config, encode_config};
 use fleetstate::FleetConfig;
-use numeric::crc32;
 use skirental::batch::VertexKind;
 use std::io::{Read, Write};
 
+pub use fleetstate::format::{HEADER_LEN, TRAILER_LEN, VERSION};
+
 /// The four magic bytes opening every protocol frame.
 pub const MAGIC: [u8; 4] = *b"FLTD";
-
-/// The current protocol version.
-pub const VERSION: u16 = 1;
-
-/// Bytes of the fixed frame header (before the payload).
-pub const HEADER_LEN: usize = 12;
-
-/// Bytes of the trailing checksum.
-pub const TRAILER_LEN: usize = 4;
 
 /// Hard cap on a frame's payload: a 4096-step block for a 262k-vehicle
 /// fleet still fits, while a crafted length field cannot demand an
 /// absurd allocation.
 pub const MAX_PAYLOAD: u32 = 1 << 26;
+
+/// The protocol's frame container.
+const WIRE: Container = Container { magic: MAGIC, max_payload: MAX_PAYLOAD };
 
 /// Cap on string fields (client names, error messages).
 const MAX_STRING: u32 = 1 << 16;
@@ -137,108 +124,61 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------
-// Payload reader (total: every access bounds-checked).
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn err(&self, what: &'static str) -> WireError {
-        WireError::BadPayload { offset: self.at as u64, what }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.at.checked_add(n).ok_or(self.err("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(self.err("payload ends early"));
-        }
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()?;
-        if len > MAX_STRING {
-            return Err(self.err("string too long"));
-        }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("string is not UTF-8"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.at != self.bytes.len() {
-            Err(WireError::BadPayload { offset: self.at as u64, what: "trailing payload bytes" })
-        } else {
-            Ok(())
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated { needed, available } => {
+                Self::Truncated { offset: available, needed, available }
+            }
+            FrameError::BadMagic => Self::BadMagic { offset: 0 },
+            FrameError::UnsupportedVersion { version } => {
+                Self::UnsupportedVersion { offset: 4, version }
+            }
+            FrameError::OversizedPayload { len } => Self::OversizedPayload { offset: 8, len },
+            FrameError::ChecksumMismatch { offset, stored, computed } => {
+                Self::ChecksumMismatch { offset, stored, computed }
+            }
         }
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl From<PayloadError> for WireError {
+    fn from(e: PayloadError) -> Self {
+        Self::BadPayload { offset: e.pos, what: e.what }
+    }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
+/// Appends `s` with a `u32` length prefix, cut to at most [`MAX_STRING`]
+/// bytes at a char boundary so the result is still UTF-8.
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = &s.as_bytes()[..s.len().min(MAX_STRING as usize)];
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
+    let mut end = s.len().min(MAX_STRING as usize);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    put_u32(out, end as u32);
+    out.extend_from_slice(&s.as_bytes()[..end]);
 }
 
-fn put_config(out: &mut Vec<u8>, config: &FleetConfig) {
-    put_u32(out, config.lanes as u32);
-    put_f64(out, config.break_even);
-    put_u32(out, config.window.map_or(0, |w| w as u32));
-    put_u32(out, config.min_history as u32);
-    put_u64(out, config.seed);
-    put_u64(out, config.trace_stream_base);
+/// Appends `s` with a `u32` length prefix and no length cap.
+fn put_text(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn read_config(r: &mut Reader<'_>) -> Result<FleetConfig, WireError> {
-    let lanes = r.u32()? as usize;
-    let break_even = r.f64()?;
-    let window = match r.u32()? {
-        0 => None,
-        w => Some(w as usize),
-    };
-    let min_history = r.u32()? as usize;
-    let seed = r.u64()?;
-    let trace_stream_base = r.u64()?;
-    Ok(FleetConfig { lanes, break_even, window, min_history, seed, trace_stream_base })
+fn read_string(r: &mut Cursor<'_>) -> Result<String, PayloadError> {
+    let len = r.u32()?;
+    if len > MAX_STRING {
+        return Err(r.err("string too long"));
+    }
+    let bytes = r.take(len as usize)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| r.err("string is not UTF-8"))
+}
+
+/// Reads a [`put_text`] field; a non-UTF-8 body is reported at `offset`.
+fn read_text(r: &mut Cursor<'_>, offset: u64, what: &'static str) -> Result<String, WireError> {
+    let len = r.u32()?;
+    let bytes = r.take(len as usize)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload { offset, what })
 }
 
 // ---------------------------------------------------------------------
@@ -423,18 +363,15 @@ impl Request {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn write_payload(&self, out: &mut Vec<u8>) {
         match self {
-            Self::Hello { name } => put_string(&mut out, name),
+            Self::Hello { name } => put_string(out, name),
             Self::Submit { first_step, rows } => {
-                put_u64(&mut out, *first_step);
-                put_u32(&mut out, rows.len() as u32);
-                put_u32(&mut out, rows.first().map_or(0, |r| r.len() as u32));
+                put_u64(out, *first_step);
+                put_u32(out, rows.len() as u32);
+                put_u32(out, rows.first().map_or(0, |r| r.len() as u32));
                 for row in rows {
-                    for &y in row {
-                        put_f64(&mut out, y);
-                    }
+                    put_f64s(out, row);
                 }
             }
             Self::Stats
@@ -445,13 +382,11 @@ impl Request {
             | Self::Telemetry
             | Self::Shutdown => {}
         }
-        out
     }
 
-    fn decode_payload(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(payload);
-        let req = match kind {
-            KIND_HELLO => Self::Hello { name: r.string()? },
+    fn read_payload(kind: u8, r: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match kind {
+            KIND_HELLO => Self::Hello { name: read_string(r)? },
             KIND_SUBMIT => {
                 let first_step = r.u64()?;
                 let steps = r.u32()? as usize;
@@ -460,17 +395,10 @@ impl Request {
                     .checked_mul(lanes)
                     .and_then(|c| c.checked_mul(8))
                     .ok_or(r.err("block size overflow"))?;
-                if cells != payload.len().saturating_sub(16) {
-                    return Err(r.err("block size does not match payload length"));
+                if cells != r.remaining() {
+                    return Err(r.err("block size does not match payload length").into());
                 }
-                let mut rows = Vec::with_capacity(steps);
-                for _ in 0..steps {
-                    let mut row = Vec::with_capacity(lanes);
-                    for _ in 0..lanes {
-                        row.push(r.f64()?);
-                    }
-                    rows.push(row);
-                }
+                let rows = (0..steps).map(|_| r.f64s(lanes)).collect::<Result<_, _>>()?;
                 Self::Submit { first_step, rows }
             }
             KIND_STATS => Self::Stats,
@@ -481,9 +409,7 @@ impl Request {
             KIND_TELEMETRY => Self::Telemetry,
             KIND_SHUTDOWN => Self::Shutdown,
             other => return Err(WireError::UnknownKind { offset: 6, kind: other }),
-        };
-        r.finish()?;
-        Ok(req)
+        })
     }
 }
 
@@ -502,65 +428,54 @@ impl Reply {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn write_payload(&self, out: &mut Vec<u8>) {
         match self {
             Self::HelloAck { config, step, client_id } => {
-                put_config(&mut out, config);
-                put_u64(&mut out, *step);
-                put_u64(&mut out, *client_id);
+                encode_config(out, config);
+                put_u64(out, *step);
+                put_u64(out, *client_id);
             }
             Self::Decisions { first_step, steps, lanes, thresholds, vertices } => {
-                put_u64(&mut out, *first_step);
-                put_u32(&mut out, *steps);
-                put_u32(&mut out, *lanes);
-                for &x in thresholds {
-                    put_f64(&mut out, x);
-                }
-                for &v in vertices {
-                    out.push(v as u8);
-                }
+                put_u64(out, *first_step);
+                put_u32(out, *steps);
+                put_u32(out, *lanes);
+                put_f64s(out, thresholds);
+                out.extend(vertices.iter().map(|&v| v as u8));
             }
             Self::Busy { queued, capacity } => {
-                put_u32(&mut out, *queued);
-                put_u32(&mut out, *capacity);
+                put_u32(out, *queued);
+                put_u32(out, *capacity);
             }
             Self::Stats(s) => {
-                put_u64(&mut out, s.step);
-                put_u32(&mut out, s.lanes);
-                put_u32(&mut out, s.queue_depth);
-                put_u32(&mut out, s.queue_capacity);
-                put_u32(&mut out, s.connections);
-                put_u32(&mut out, s.subscribers);
-                put_u64(&mut out, s.busy_rejections);
-                put_u64(&mut out, s.blocks_ingested);
-                put_u64(&mut out, s.journal_frames);
-                put_f64(&mut out, s.online_total);
-                put_f64(&mut out, s.offline_total);
+                put_u64(out, s.step);
+                put_u32(out, s.lanes);
+                put_u32(out, s.queue_depth);
+                put_u32(out, s.queue_capacity);
+                put_u32(out, s.connections);
+                put_u32(out, s.subscribers);
+                put_u64(out, s.busy_rejections);
+                put_u64(out, s.blocks_ingested);
+                put_u64(out, s.journal_frames);
+                put_f64(out, s.online_total);
+                put_f64(out, s.offline_total);
             }
             Self::State(bytes) => out.extend_from_slice(bytes),
             Self::Events { last, jsonl } => {
                 out.push(u8::from(*last));
-                put_u32(&mut out, jsonl.len() as u32);
-                out.extend_from_slice(jsonl.as_bytes());
+                put_text(out, jsonl);
             }
-            Self::Ack { info } => put_string(&mut out, info),
-            Self::Error { message } => put_string(&mut out, message),
-            Self::Telemetry { text } => {
-                // A full exposition page can exceed the short-string cap,
-                // so it rides as length-prefixed raw bytes like `Events`.
-                put_u32(&mut out, text.len() as u32);
-                out.extend_from_slice(text.as_bytes());
-            }
+            Self::Ack { info } => put_string(out, info),
+            Self::Error { message } => put_string(out, message),
+            // A full exposition page can exceed the short-string cap, so
+            // it rides as length-prefixed raw bytes like `Events`.
+            Self::Telemetry { text } => put_text(out, text),
         }
-        out
     }
 
-    fn decode_payload(kind: u8, payload: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(payload);
-        let reply = match kind {
+    fn read_payload(kind: u8, r: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match kind {
             KIND_HELLO_ACK => {
-                Self::HelloAck { config: read_config(&mut r)?, step: r.u64()?, client_id: r.u64()? }
+                Self::HelloAck { config: decode_config(r)?, step: r.u64()?, client_id: r.u64()? }
             }
             KIND_DECISIONS => {
                 let first_step = r.u64()?;
@@ -569,15 +484,10 @@ impl Reply {
                 let cells = (steps as usize)
                     .checked_mul(lanes as usize)
                     .ok_or(r.err("decision count overflow"))?;
-                if cells.checked_mul(9).ok_or(r.err("decision count overflow"))?
-                    != payload.len().saturating_sub(16)
-                {
-                    return Err(r.err("decision count does not match payload length"));
+                if cells.checked_mul(9).ok_or(r.err("decision count overflow"))? != r.remaining() {
+                    return Err(r.err("decision count does not match payload length").into());
                 }
-                let mut thresholds = Vec::with_capacity(cells);
-                for _ in 0..cells {
-                    thresholds.push(r.f64()?);
-                }
+                let thresholds = r.f64s(cells)?;
                 let mut vertices = Vec::with_capacity(cells);
                 for _ in 0..cells {
                     let code = r.u8()?;
@@ -601,53 +511,26 @@ impl Reply {
                 online_total: r.f64()?,
                 offline_total: r.f64()?,
             }),
-            KIND_STATE => {
-                let bytes = payload.to_vec();
-                return Ok(Self::State(bytes));
-            }
+            KIND_STATE => Self::State(r.take(r.remaining())?.to_vec()),
             KIND_EVENTS => {
                 let last = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(r.err("last flag is not 0 or 1")),
+                    _ => return Err(r.err("last flag is not 0 or 1").into()),
                 };
-                let len = r.u32()?;
-                let bytes = r.take(len as usize)?;
-                let jsonl = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::BadPayload { offset: 5, what: "jsonl is not UTF-8" })?;
-                Self::Events { last, jsonl }
+                Self::Events { last, jsonl: read_text(r, 5, "jsonl is not UTF-8")? }
             }
-            KIND_ACK => Self::Ack { info: r.string()? },
-            KIND_ERROR => Self::Error { message: r.string()? },
-            KIND_TELEMETRY_REPLY => {
-                let len = r.u32()?;
-                let bytes = r.take(len as usize)?;
-                let text = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::BadPayload { offset: 4, what: "text is not UTF-8" })?;
-                Self::Telemetry { text }
-            }
+            KIND_ACK => Self::Ack { info: read_string(r)? },
+            KIND_ERROR => Self::Error { message: read_string(r)? },
+            KIND_TELEMETRY_REPLY => Self::Telemetry { text: read_text(r, 4, "text is not UTF-8")? },
             other => return Err(WireError::UnknownKind { offset: 6, kind: other }),
-        };
-        r.finish()?;
-        Ok(reply)
+        })
     }
 }
 
 // ---------------------------------------------------------------------
 // Framing.
 // ---------------------------------------------------------------------
-
-fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(kind);
-    out.push(0);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32::crc32(&out).to_le_bytes());
-    out
-}
 
 /// Decodes the frame header alone: `(kind, payload_len)`. Used by stream
 /// readers to learn how many more bytes to read before the full frame
@@ -658,25 +541,7 @@ fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 /// [`WireError::Truncated`], [`WireError::BadMagic`],
 /// [`WireError::UnsupportedVersion`], or [`WireError::OversizedPayload`].
 pub fn decode_header(bytes: &[u8]) -> Result<(u8, u32), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            offset: bytes.len() as u64,
-            needed: HEADER_LEN as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(WireError::BadMagic { offset: 0 });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion { offset: 4, version });
-    }
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::OversizedPayload { offset: 8, len });
-    }
-    Ok((bytes[6], len))
+    Ok(WIRE.decode_header(bytes)?)
 }
 
 /// Verifies a complete frame buffer (header + payload + checksum) and
@@ -687,29 +552,13 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u8, u32), WireError> {
 /// Any [`decode_header`] error, [`WireError::Truncated`] if the buffer
 /// is shorter than the frame, or [`WireError::ChecksumMismatch`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8]), WireError> {
-    let (kind, len) = decode_header(bytes)?;
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            offset: bytes.len() as u64,
-            needed: total as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    let body = &bytes[..HEADER_LEN + len as usize];
-    let at = HEADER_LEN + len as usize;
-    let stored = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-    let computed = crc32::crc32(body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { offset: at as u64, stored, computed });
-    }
-    Ok((kind, &bytes[HEADER_LEN..at]))
+    Ok(WIRE.decode(bytes)?)
 }
 
 /// Encodes a request as one frame.
 #[must_use]
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_frame(req.kind(), &req.payload())
+    WIRE.encode(req.kind(), |out| req.write_payload(out))
 }
 
 /// Decodes a complete request frame.
@@ -720,13 +569,13 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// [`WireError::BadPayload`].
 pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
     let (kind, payload) = decode_frame(bytes)?;
-    Request::decode_payload(kind, payload)
+    read_payload(payload, |r| Request::read_payload(kind, r))
 }
 
 /// Encodes a reply as one frame.
 #[must_use]
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    encode_frame(reply.kind(), &reply.payload())
+    WIRE.encode(reply.kind(), |out| reply.write_payload(out))
 }
 
 /// Decodes a complete reply frame.
@@ -737,7 +586,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
 /// [`WireError::BadPayload`].
 pub fn decode_reply(bytes: &[u8]) -> Result<Reply, WireError> {
     let (kind, payload) = decode_frame(bytes)?;
-    Reply::decode_payload(kind, payload)
+    read_payload(payload, |r| Reply::read_payload(kind, r))
 }
 
 // ---------------------------------------------------------------------
@@ -939,6 +788,69 @@ mod tests {
         let f2 = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(decode_request(&f2).unwrap(), Request::Stats);
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn long_strings_are_cut_at_a_char_boundary() {
+        // 30 000 three-byte chars: byte 65 536 falls inside a char.
+        let name = "€".repeat(30_000);
+        let back = decode_request(&encode_request(&Request::Hello { name: name.clone() }));
+        let Ok(Request::Hello { name: cut }) = back else { panic!("{back:?}") };
+        assert_eq!(cut.len(), 65_535);
+        assert!(name.starts_with(&cut));
+        let message = format!("x{}", "€".repeat(30_000));
+        let back = decode_reply(&encode_reply(&Reply::Error { message })).unwrap();
+        assert!(matches!(back, Reply::Error { message } if message.len() == MAX_STRING as usize));
+    }
+
+    #[test]
+    fn journal_snapshot_and_wire_frames_never_cross() {
+        use fleetstate::format::{encode_frame, FrameKind};
+        let config = FleetConfig {
+            lanes: 1,
+            break_even: 28.0,
+            window: None,
+            min_history: 2,
+            seed: 1,
+            trace_stream_base: 0,
+        };
+        let mut header = Vec::new();
+        encode_config(&mut header, &config);
+        let snapshot = fleetstate::FleetState {
+            config,
+            step: 0,
+            lanes: vec![fleetstate::LaneSnapshot {
+                lane: skirental::batch::LaneState {
+                    count: 0,
+                    short_sum: 0.0,
+                    sum_sq: 0.0,
+                    long_count: 0,
+                    head: 0,
+                    ring: Vec::new(),
+                },
+                rng_key: 0,
+                rng_ctr: 0,
+                online: 0.0,
+                offline: 0.0,
+            }],
+        };
+        let snapshot =
+            encode_frame(FrameKind::Snapshot, &fleetstate::encode_fleet_state(&snapshot));
+        assert_eq!(fleetstate::scan_snapshots(&snapshot, &config).states.len(), 1);
+        // State frames are not messages...
+        for frame in [encode_frame(FrameKind::JournalHeader, &header), snapshot] {
+            assert_eq!(decode_request(&frame), Err(WireError::BadMagic { offset: 0 }));
+            assert_eq!(decode_reply(&frame), Err(WireError::BadMagic { offset: 0 }));
+        }
+        // ...and messages are neither journals nor snapshots.
+        let hello = encode_reply(&Reply::HelloAck { config, step: 0, client_id: 0 });
+        assert_eq!(
+            fleetstate::parse_journal(&hello),
+            Err(fleetstate::PersistError::MissingJournalHeader)
+        );
+        let scan = fleetstate::scan_snapshots(&hello, &config);
+        assert!(scan.states.is_empty());
+        assert_eq!(scan.rejected, 1);
     }
 
     #[test]

@@ -42,6 +42,15 @@ pub enum PersistError {
         /// The version the header claims.
         version: u16,
     },
+    /// A frame header claiming a payload longer than the container's cap
+    /// ([`crate::format::MAX_PAYLOAD`]); rejected before anything is
+    /// sized from it.
+    OversizedPayload {
+        /// Byte offset of the frame's header.
+        offset: u64,
+        /// The length the header claims.
+        len: u32,
+    },
     /// The frame's CRC-32 does not match its contents.
     ChecksumMismatch {
         /// Byte offset of the frame's header.
@@ -124,6 +133,9 @@ impl fmt::Display for PersistError {
             Self::UnsupportedVersion { offset, version } => {
                 write!(f, "unsupported frame version {version} at offset {offset}")
             }
+            Self::OversizedPayload { offset, len } => {
+                write!(f, "oversized frame payload length {len} at offset {offset}")
+            }
             Self::ChecksumMismatch { offset, stored, computed } => write!(
                 f,
                 "checksum mismatch at offset {offset}: stored {stored:#010x}, \
@@ -192,6 +204,7 @@ mod tests {
             PersistError::TruncatedFrame { offset: 4, needed: 20, available: 3 },
             PersistError::BadMagic { offset: 0 },
             PersistError::UnsupportedVersion { offset: 12, version: 9 },
+            PersistError::OversizedPayload { offset: 12, len: u32::MAX },
             PersistError::ChecksumMismatch { offset: 12, stored: 1, computed: 2 },
             PersistError::UnknownFrameKind { offset: 24, kind: 255 },
             PersistError::CorruptMidStream { offset: 36, resync_offset: 60 },

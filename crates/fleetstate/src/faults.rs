@@ -8,7 +8,7 @@
 //! typed, offset-carrying error. Silent corruption is the one outcome
 //! the drill exists to rule out.
 
-use crate::format::frame_offsets;
+use crate::format::{frame_offsets, reseal};
 
 /// Which persisted file a fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,8 +165,7 @@ impl StorageFaultPlan {
                 // Recompute the checksum so only the version differs —
                 // this must surface as UnsupportedVersion, not as a
                 // checksum mismatch.
-                let crc = numeric::crc32::crc32(&bytes[start..end - 4]);
-                bytes[end - 4..end].copy_from_slice(&crc.to_le_bytes());
+                reseal(&mut bytes[start..end]);
                 Some(format!("bumped format version of frame at offset {off}"))
             }
             StorageFault::ZeroRun { offset, len } => {

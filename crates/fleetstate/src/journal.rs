@@ -22,8 +22,11 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::error::{io_err, PersistError};
-use crate::format::{encode_frame, scan_frames, Frame, FrameKind};
-use crate::state::{decode_config, encode_config, FleetConfig, Reader};
+use crate::format::{
+    encode_frame, put_f64s, put_u64, read_payload, scan_frames, seal, FrameKind, PayloadError,
+    HEADER_LEN, STATE, TRAILER_LEN,
+};
+use crate::state::{decode_config, encode_config, FleetConfig};
 
 /// Wall-clock cost of one [`Journal::append_block_timed`] call, split
 /// into the buffered write and the `sync_data` flush. Timing is
@@ -105,53 +108,19 @@ impl Journal {
         })
     }
 
-    /// Appends one step of observations (one stop duration per lane) and
-    /// flushes it to disk. Must be called *before* the engine processes
-    /// the step — that ordering is what makes the journal a redo log.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::NonContiguousStep`] if `step` is not the next
-    /// expected step, [`PersistError::BadPayload`] if the row width does
-    /// not match the fleet, or [`PersistError::Io`] on write failure.
-    pub fn append_step(&mut self, step: u64, row: &[f64]) -> Result<(), PersistError> {
-        if step != self.next_step {
-            return Err(PersistError::NonContiguousStep {
-                offset: 0,
-                expected: self.next_step,
-                found: step,
-            });
-        }
-        if row.len() != self.config.lanes {
-            return Err(PersistError::BadPayload {
-                offset: 0,
-                what: "observation row width does not match the fleet",
-            });
-        }
-        let mut payload = Vec::with_capacity(8 + row.len() * 8);
-        payload.extend_from_slice(&step.to_le_bytes());
-        for &y in row {
-            payload.extend_from_slice(&y.to_bits().to_le_bytes());
-        }
-        let frame = encode_frame(FrameKind::Observations, &payload);
-        self.file.write_all(&frame).map_err(|e| io_err(&self.path, &e))?;
-        self.file.sync_data().map_err(|e| io_err(&self.path, &e))?;
-        self.next_step += 1;
-        self.frames_written += 1;
-        self.bytes_written += frame.len() as u64;
-        Ok(())
-    }
-
     /// Appends a whole block of steps as one write + one flush —
-    /// `rows[t]` becomes step `first_step + t`. The redo-log ordering
-    /// contract is per *block*: callers journal the block, then process
-    /// it. A crash mid-write leaves a torn tail that recovery drops
-    /// cleanly, losing only unprocessed observations.
+    /// `rows[t]` becomes step `first_step + t`, one
+    /// [`FrameKind::Observations`] frame per step. Must be called
+    /// *before* the engine processes the block — that ordering is what
+    /// makes the journal a redo log. A crash mid-write leaves a torn tail
+    /// that recovery drops cleanly, losing only unprocessed observations.
     ///
     /// # Errors
     ///
-    /// Same as [`Journal::append_step`]; nothing is written on a
-    /// validation failure.
+    /// [`PersistError::NonContiguousStep`] if `first_step` is not the
+    /// next expected step, [`PersistError::BadPayload`] if a row's width
+    /// does not match the fleet, or [`PersistError::Io`] on write
+    /// failure. Nothing is written on a validation failure.
     pub fn append_block(&mut self, first_step: u64, rows: &[Vec<f64>]) -> Result<(), PersistError> {
         self.append_block_timed(first_step, rows).map(|_| ())
     }
@@ -185,18 +154,13 @@ impl Journal {
         if rows.is_empty() {
             return Ok(AppendTiming::default());
         }
-        let mut buf = Vec::with_capacity(
-            rows.len() * (crate::format::HEADER_LEN + crate::format::TRAILER_LEN + 8)
-                + rows.len() * self.config.lanes * 8,
-        );
-        let mut payload = Vec::with_capacity(8 + self.config.lanes * 8);
+        let mut buf =
+            Vec::with_capacity(rows.len() * (HEADER_LEN + 8 + self.config.lanes * 8 + TRAILER_LEN));
         for (t, row) in rows.iter().enumerate() {
-            payload.clear();
-            payload.extend_from_slice(&(first_step + t as u64).to_le_bytes());
-            for &y in row {
-                payload.extend_from_slice(&y.to_bits().to_le_bytes());
-            }
-            buf.extend_from_slice(&encode_frame(FrameKind::Observations, &payload));
+            let start = STATE.open(&mut buf, FrameKind::Observations as u8);
+            put_u64(&mut buf, first_step + t as u64);
+            put_f64s(&mut buf, row);
+            seal(&mut buf, start);
         }
         let write_start = Instant::now();
         self.file.write_all(&buf).map_err(|e| io_err(&self.path, &e))?;
@@ -249,15 +213,8 @@ pub struct JournalContents {
     pub frames: u64,
 }
 
-fn decode_observations(frame: &Frame, lanes: usize) -> Result<(u64, Vec<f64>), PersistError> {
-    let mut r = Reader::new(&frame.payload, frame.offset);
-    let step = r.u64()?;
-    let mut row = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        row.push(r.f64()?);
-    }
-    r.finish()?;
-    Ok((step, row))
+fn decode_observations(payload: &[u8], lanes: usize) -> Result<(u64, Vec<f64>), PayloadError> {
+    read_payload(payload, |r| Ok((r.u64()?, r.f64s(lanes)?)))
 }
 
 /// Parses journal bytes: header first, then observation frames in strict
@@ -279,29 +236,23 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
         Some(f) if f.kind == FrameKind::JournalHeader as u8 => f,
         _ => return Err(PersistError::MissingJournalHeader),
     };
-    let config = {
-        let mut r = Reader::new(&header.payload, header.offset);
-        let c = decode_config(&mut r)?;
-        r.finish()?;
-        c
-    };
+    let config = read_payload(header.payload, decode_config).map_err(|e| e.at(header.offset))?;
     let mut steps: Vec<Vec<f64>> = Vec::new();
     let mut duplicates_skipped = 0u64;
-    let mut prev: Option<&Frame> = Some(header);
+    let mut prev = header;
     for frame in frames {
         if frame.kind != FrameKind::Observations as u8 {
             return Err(PersistError::UnknownFrameKind { offset: frame.offset, kind: frame.kind });
         }
         // A retried append interrupted between the write and the
         // bookkeeping leaves the previous frame repeated verbatim.
-        if let Some(p) = prev {
-            if p.kind == frame.kind && p.payload == frame.payload {
-                duplicates_skipped += 1;
-                prev = Some(frame);
-                continue;
-            }
+        if prev.kind == frame.kind && prev.payload == frame.payload {
+            duplicates_skipped += 1;
+            prev = frame;
+            continue;
         }
-        let (step, row) = decode_observations(frame, config.lanes)?;
+        let (step, row) =
+            decode_observations(frame.payload, config.lanes).map_err(|e| e.at(frame.offset))?;
         if step != steps.len() as u64 {
             return Err(PersistError::NonContiguousStep {
                 offset: frame.offset,
@@ -310,7 +261,7 @@ pub fn parse_journal(bytes: &[u8]) -> Result<JournalContents, PersistError> {
             });
         }
         steps.push(row);
-        prev = Some(frame);
+        prev = frame;
     }
     Ok(JournalContents {
         config,
@@ -348,8 +299,7 @@ mod tests {
     fn write_then_parse_roundtrip() {
         let path = tmp("roundtrip");
         let mut j = Journal::create(&path, &cfg()).unwrap();
-        j.append_step(0, &[1.0, 2.0, 3.0]).unwrap();
-        j.append_step(1, &[4.0, 5.0, 6.0]).unwrap();
+        j.append_block(0, &[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(j.steps_recorded(), 2);
         assert_eq!(j.frames_written(), 3);
         let bytes = std::fs::read(&path).unwrap();
@@ -367,10 +317,10 @@ mod tests {
         let path = tmp("contiguity");
         let mut j = Journal::create(&path, &cfg()).unwrap();
         assert!(matches!(
-            j.append_step(5, &[1.0, 2.0, 3.0]),
+            j.append_block(5, &[vec![1.0, 2.0, 3.0]]),
             Err(PersistError::NonContiguousStep { expected: 0, found: 5, .. })
         ));
-        assert!(matches!(j.append_step(0, &[1.0]), Err(PersistError::BadPayload { .. })));
+        assert!(matches!(j.append_block(0, &[vec![1.0]]), Err(PersistError::BadPayload { .. })));
         std::fs::remove_file(&path).ok();
     }
 
@@ -378,8 +328,7 @@ mod tests {
     fn torn_tail_dropped_cleanly() {
         let path = tmp("torn");
         let mut j = Journal::create(&path, &cfg()).unwrap();
-        j.append_step(0, &[1.0, 2.0, 3.0]).unwrap();
-        j.append_step(1, &[4.0, 5.0, 6.0]).unwrap();
+        j.append_block(0, &[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let cut = bytes.len() - 7;
         bytes.truncate(cut);
@@ -394,7 +343,7 @@ mod tests {
     fn duplicate_frame_skipped_and_counted() {
         let path = tmp("dup");
         let mut j = Journal::create(&path, &cfg()).unwrap();
-        j.append_step(0, &[1.0, 2.0, 3.0]).unwrap();
+        j.append_block(0, &[vec![1.0, 2.0, 3.0]]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let offsets = frame_offsets(&bytes);
         let (off, len) = offsets[1];
@@ -410,8 +359,7 @@ mod tests {
     fn skipped_step_is_an_error() {
         let path = tmp("skip");
         let mut j = Journal::create(&path, &cfg()).unwrap();
-        j.append_step(0, &[1.0, 2.0, 3.0]).unwrap();
-        j.append_step(1, &[4.0, 5.0, 6.0]).unwrap();
+        j.append_block(0, &[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // Splice out the middle observation frame so steps jump 0 -> skip.
         let offsets = frame_offsets(&bytes);
@@ -438,7 +386,7 @@ mod tests {
         let rows = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0], vec![7.0, 8.0, 9.0]];
         let mut a = Journal::create(&pa, &cfg()).unwrap();
         for (t, row) in rows.iter().enumerate() {
-            a.append_step(t as u64, row).unwrap();
+            a.append_block(t as u64, std::slice::from_ref(row)).unwrap();
         }
         let mut b = Journal::create(&pb, &cfg()).unwrap();
         b.append_block(0, &rows).unwrap();
@@ -479,10 +427,10 @@ mod tests {
     fn reopen_resumes_appending() {
         let path = tmp("reopen");
         let mut j = Journal::create(&path, &cfg()).unwrap();
-        j.append_step(0, &[1.0, 2.0, 3.0]).unwrap();
+        j.append_block(0, &[vec![1.0, 2.0, 3.0]]).unwrap();
         drop(j);
         let mut j = Journal::reopen(&path, &cfg(), 1, 2).unwrap();
-        j.append_step(1, &[4.0, 5.0, 6.0]).unwrap();
+        j.append_block(1, &[vec![4.0, 5.0, 6.0]]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(j.bytes_written(), bytes.len() as u64, "reopen seeds byte count from disk");
         let parsed = parse_journal(&bytes).unwrap();

@@ -13,7 +13,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::error::{io_err, PersistError};
-use crate::format::{decode_frame_at, encode_frame, next_frame_probe, FrameKind};
+use crate::format::{encode_frame, frames, FrameKind};
 use crate::state::{decode_fleet_state, encode_fleet_state, FleetConfig, FleetState};
 
 /// Appends one snapshot frame to the file at `path` (creating it if
@@ -51,29 +51,17 @@ pub struct SnapshotScan {
 pub fn scan_snapshots(bytes: &[u8], expected: &FleetConfig) -> SnapshotScan {
     let mut states = Vec::new();
     let mut rejected = 0u64;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        match decode_frame_at(bytes, offset as u64) {
-            Ok(frame) => {
-                offset += frame.len as usize;
-                if frame.kind != FrameKind::Snapshot as u8 {
-                    rejected += 1;
-                    continue;
-                }
-                match decode_fleet_state(&frame.payload, frame.offset) {
+    for frame in frames(bytes) {
+        match frame {
+            Ok(f) if f.kind == FrameKind::Snapshot as u8 => {
+                match decode_fleet_state(f.payload, f.offset) {
                     Ok(state) if expected.ensure_matches(&state.config).is_ok() => {
                         states.push(state);
                     }
                     _ => rejected += 1,
                 }
             }
-            Err(_) => {
-                rejected += 1;
-                match next_frame_probe(bytes, offset) {
-                    Some(r) => offset = r,
-                    None => break,
-                }
-            }
+            _ => rejected += 1,
         }
     }
     SnapshotScan { states, rejected }
@@ -82,7 +70,8 @@ pub fn scan_snapshots(bytes: &[u8], expected: &FleetConfig) -> SnapshotScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{LaneSnapshot, Reader};
+    use crate::format::Cursor;
+    use crate::state::LaneSnapshot;
     use skirental::batch::LaneState;
     use std::path::PathBuf;
 
@@ -124,12 +113,13 @@ mod tests {
         dir.join(format!("{name}-{}", std::process::id()))
     }
 
-    // Exercise the pub(crate) Reader error path for coverage parity.
+    // Exercise the payload cursor's error path for coverage parity.
     #[test]
     fn reader_reports_overlong_payload() {
-        let mut r = Reader::new(&[0u8; 4], 3);
+        let mut r = Cursor::new(&[0u8; 4]);
         r.u8().unwrap();
-        assert!(matches!(r.finish(), Err(PersistError::BadPayload { offset: 3, .. })));
+        let finish = r.finish().map_err(|e| e.at(3));
+        assert!(matches!(finish, Err(PersistError::BadPayload { offset: 3, .. })));
     }
 
     #[test]

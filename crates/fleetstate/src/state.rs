@@ -12,6 +12,7 @@
 //! resumed run to match an uninterrupted one.
 
 use crate::error::PersistError;
+use crate::format::{put_f64, put_f64s, put_u32, put_u64, read_payload, Cursor, PayloadError};
 use skirental::batch::LaneState;
 use skirental::degraded::LadderState;
 use skirental::estimator::{ControllerState, EstimatorState};
@@ -104,84 +105,12 @@ pub struct FleetState {
 }
 
 // ---------------------------------------------------------------------
-// Little-endian write/read helpers.
+// FleetConfig codec (shared by snapshots, the journal header and the
+// daemon's handshake).
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Cursor over a payload; every read failure maps to
-/// [`PersistError::BadPayload`] at the frame's offset.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    at: u64,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], at: u64) -> Self {
-        Self { bytes, pos: 0, at }
-    }
-
-    fn short(&self) -> PersistError {
-        PersistError::BadPayload { offset: self.at, what: "payload shorter than declared" }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        let v = *self.bytes.get(self.pos).ok_or_else(|| self.short())?;
-        self.pos += 1;
-        Ok(v)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
-        let end = self.pos + 4;
-        let s = self.bytes.get(self.pos..end).ok_or_else(|| self.short())?;
-        self.pos = end;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        let end = self.pos + 8;
-        let s = self.bytes.get(self.pos..end).ok_or_else(|| self.short())?;
-        self.pos = end;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Bytes not yet consumed. Length/count fields read from the
-    /// payload are validated against this BEFORE any allocation is
-    /// sized from them — a corrupt (or adversarial) count must produce
-    /// a typed error, not a huge `Vec::with_capacity`.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    pub(crate) fn finish(&self) -> Result<(), PersistError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(PersistError::BadPayload { offset: self.at, what: "payload longer than declared" })
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// FleetConfig codec (shared by snapshots and the journal header).
-// ---------------------------------------------------------------------
-
-pub(crate) fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
+/// Appends the payload encoding of `config`.
+pub fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
     put_u32(out, config.lanes as u32);
     put_f64(out, config.break_even);
     put_u32(out, config.window.map_or(0, |w| w as u32));
@@ -190,7 +119,12 @@ pub(crate) fn encode_config(out: &mut Vec<u8>, config: &FleetConfig) {
     put_u64(out, config.trace_stream_base);
 }
 
-pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<FleetConfig, PersistError> {
+/// Reads a configuration written by [`encode_config`].
+///
+/// # Errors
+///
+/// [`PayloadError`] if the payload ends early.
+pub fn decode_config(r: &mut Cursor<'_>) -> Result<FleetConfig, PayloadError> {
     let lanes = r.u32()? as usize;
     let break_even = r.f64()?;
     let window = match r.u32()? {
@@ -227,9 +161,7 @@ pub fn encode_fleet_state(state: &FleetState) -> Vec<u8> {
         put_f64(&mut out, lane.online);
         put_f64(&mut out, lane.offline);
         debug_assert_eq!(lane.lane.ring.len(), w);
-        for &y in &lane.lane.ring {
-            put_f64(&mut out, y);
-        }
+        put_f64s(&mut out, &lane.lane.ring);
     }
     out
 }
@@ -242,18 +174,18 @@ pub fn encode_fleet_state(state: &FleetState) -> Vec<u8> {
 /// [`PersistError::BadPayload`] naming the offset if the payload is the
 /// wrong shape for its own configuration echo.
 pub fn decode_fleet_state(bytes: &[u8], at: u64) -> Result<FleetState, PersistError> {
-    let mut r = Reader::new(bytes, at);
-    let config = decode_config(&mut r)?;
+    read_payload(bytes, fleet_state).map_err(|e| e.at(at))
+}
+
+fn fleet_state(r: &mut Cursor<'_>) -> Result<FleetState, PayloadError> {
+    let config = decode_config(r)?;
     let step = r.u64()?;
     let w = config.window.unwrap_or(0);
     // The configuration echo fixes the payload length exactly; check it
     // before sizing any allocation from the (untrusted) lane count.
     let need = (config.lanes as u128) * (60 + 8 * w as u128);
     if need != r.remaining() as u128 {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "payload length does not match its configuration echo",
-        });
+        return Err(r.err("payload length does not match its configuration echo"));
     }
     let mut lanes = Vec::with_capacity(config.lanes);
     for _ in 0..config.lanes {
@@ -266,10 +198,7 @@ pub fn decode_fleet_state(bytes: &[u8], at: u64) -> Result<FleetState, PersistEr
         let rng_ctr = r.u64()?;
         let online = r.f64()?;
         let offline = r.f64()?;
-        let mut ring = Vec::with_capacity(w);
-        for _ in 0..w {
-            ring.push(r.f64()?);
-        }
+        let ring = r.f64s(w)?;
         lanes.push(LaneSnapshot {
             lane: LaneState { count, short_sum, sum_sq, long_count, head, ring },
             rng_key,
@@ -278,7 +207,6 @@ pub fn decode_fleet_state(bytes: &[u8], at: u64) -> Result<FleetState, PersistEr
             offline,
         });
     }
-    r.finish()?;
     Ok(FleetState { config, step, lanes })
 }
 
@@ -291,15 +219,6 @@ fn trust_to_u8(level: TrustLevel) -> u8 {
         TrustLevel::Full => 0,
         TrustLevel::Degraded => 1,
         TrustLevel::Untrusted => 2,
-    }
-}
-
-fn trust_from_u8(v: u8, at: u64) -> Result<TrustLevel, PersistError> {
-    match v {
-        0 => Ok(TrustLevel::Full),
-        1 => Ok(TrustLevel::Degraded),
-        2 => Ok(TrustLevel::Untrusted),
-        _ => Err(PersistError::BadPayload { offset: at, what: "unknown trust level" }),
     }
 }
 
@@ -316,9 +235,7 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
     put_f64(&mut out, est.short_sum);
     put_u64(&mut out, est.long_count as u64);
     put_u32(&mut out, est.buffer.len() as u32);
-    for &y in &est.buffer {
-        put_f64(&mut out, y);
-    }
+    put_f64s(&mut out, &est.buffer);
     // Ladder position + hysteresis counters.
     out.push(trust_to_u8(state.level));
     put_u32(&mut out, state.recent.len() as u32);
@@ -327,16 +244,8 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
     }
     put_u64(&mut out, state.clean_streak as u64);
     put_u64(&mut out, state.since_valid as u64);
-    match state.last_bits {
-        Some(bits) => {
-            out.push(1);
-            put_u64(&mut out, bits);
-        }
-        None => {
-            out.push(0);
-            put_u64(&mut out, 0);
-        }
-    }
+    out.push(u8::from(state.last_bits.is_some()));
+    put_u64(&mut out, state.last_bits.unwrap_or(0));
     put_u64(&mut out, state.run_len as u64);
     put_u64(&mut out, state.counts.non_finite);
     put_u64(&mut out, state.counts.negative);
@@ -357,7 +266,19 @@ pub fn encode_ladder_state(state: &LadderState) -> Vec<u8> {
 /// [`PersistError::BadPayload`] naming the offset on a malformed
 /// payload.
 pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, PersistError> {
-    let mut r = Reader::new(bytes, at);
+    read_payload(bytes, ladder_state).map_err(|e| e.at(at))
+}
+
+/// Reads a 0/1 flag byte.
+fn flag(r: &mut Cursor<'_>, what: &'static str) -> Result<bool, PayloadError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(r.err(what)),
+    }
+}
+
+fn ladder_state(r: &mut Cursor<'_>) -> Result<LadderState, PayloadError> {
     let min_history = r.u32()? as usize;
     let window = match r.u32()? {
         0 => None,
@@ -366,61 +287,24 @@ pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, Persist
     let short_sum = r.f64()?;
     let long_count = r.u64()? as usize;
     let buf_len = r.u32()? as usize;
-    if buf_len.saturating_mul(8) > r.remaining() {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "estimator buffer length exceeds the payload",
-        });
-    }
-    let mut buffer = Vec::with_capacity(buf_len);
-    for _ in 0..buf_len {
-        buffer.push(r.f64()?);
-    }
-    let level = trust_from_u8(r.u8()?, at)?;
+    let buffer = r.f64s(buf_len)?;
+    let level = match r.u8()? {
+        0 => TrustLevel::Full,
+        1 => TrustLevel::Degraded,
+        2 => TrustLevel::Untrusted,
+        _ => return Err(r.err("unknown trust level")),
+    };
     let recent_len = r.u32()? as usize;
     if recent_len > r.remaining() {
-        return Err(PersistError::BadPayload {
-            offset: at,
-            what: "anomaly window length exceeds the payload",
-        });
+        return Err(r.err("anomaly window length exceeds the payload"));
     }
-    let mut recent = Vec::with_capacity(recent_len);
-    for _ in 0..recent_len {
-        recent.push(match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => {
-                return Err(PersistError::BadPayload {
-                    offset: at,
-                    what: "anomaly window entry is not a boolean",
-                })
-            }
-        });
-    }
+    let recent = (0..recent_len)
+        .map(|_| flag(r, "anomaly window entry is not a boolean"))
+        .collect::<Result<_, _>>()?;
     let clean_streak = r.u64()? as usize;
     let since_valid = r.u64()? as usize;
-    let has_last = r.u8()?;
+    let has_last = flag(r, "last-reading presence flag is not a boolean")?;
     let last_raw = r.u64()?;
-    let last_bits = match has_last {
-        0 => None,
-        1 => Some(last_raw),
-        _ => {
-            return Err(PersistError::BadPayload {
-                offset: at,
-                what: "last-reading presence flag is not a boolean",
-            })
-        }
-    };
-    let run_len = r.u64()? as usize;
-    let counts = skirental::degraded::AnomalyCounts {
-        non_finite: r.u64()?,
-        negative: r.u64()?,
-        implausible: r.u64()?,
-        stuck: r.u64()?,
-    };
-    let demotions = r.u64()?;
-    let drift_holdoff = r.u64()? as usize;
-    r.finish()?;
     Ok(LadderState {
         controller: ControllerState {
             estimator: EstimatorState { window, buffer, short_sum, long_count },
@@ -430,11 +314,16 @@ pub fn decode_ladder_state(bytes: &[u8], at: u64) -> Result<LadderState, Persist
         recent,
         clean_streak,
         since_valid,
-        last_bits,
-        run_len,
-        counts,
-        demotions,
-        drift_holdoff,
+        last_bits: has_last.then_some(last_raw),
+        run_len: r.u64()? as usize,
+        counts: skirental::degraded::AnomalyCounts {
+            non_finite: r.u64()?,
+            negative: r.u64()?,
+            implausible: r.u64()?,
+            stuck: r.u64()?,
+        },
+        demotions: r.u64()?,
+        drift_holdoff: r.u64()? as usize,
     })
 }
 

@@ -302,6 +302,7 @@ mod tests {
     /// Minimal scoped temp dir (std-only).
     mod tempdir {
         use std::path::PathBuf;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
         pub struct TempDirGuard {
             pub path: PathBuf,
@@ -314,7 +315,12 @@ mod tests {
         }
 
         pub fn guard(name: &str) -> TempDirGuard {
-            let path = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+            // Tests share one process and run in parallel: each guard
+            // gets its own directory, or one test's drop deletes
+            // another's trace mid-read.
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!("{name}_{}_{n}", std::process::id()));
             std::fs::create_dir_all(&path).expect("can create temp dir");
             TempDirGuard { path }
         }
