@@ -136,7 +136,6 @@ enum EngineJob {
         reply: SyncSender<Reply>,
     },
     Replay {
-        client: u64,
         reply: SyncSender<Reply>,
     },
     Shutdown {
@@ -287,6 +286,28 @@ pub struct Started {
     pub telemetry_addr: Option<std::net::SocketAddr>,
 }
 
+/// Recovers the fleet in `options.dir` if [`ServeOptions::recover`] is
+/// set, else creates it there (refusing an existing journal).
+fn open_fleet(
+    options: &ServeOptions,
+) -> Result<(PersistentFleet, Option<RecoveryOutcome>), String> {
+    let (dir, config, threads) = (&options.dir, &options.config, options.threads);
+    if options.recover {
+        return PersistentFleet::recover(dir, config, threads, options.snapshot_every)
+            .map(|(fleet, outcome)| (fleet, Some(outcome)))
+            .map_err(|e| format!("recover {}: {e}", dir.display()));
+    }
+    if dir.join(JOURNAL_FILE).exists() {
+        return Err(format!(
+            "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
+            dir.display()
+        ));
+    }
+    PersistentFleet::create(dir, config, threads, options.snapshot_every)
+        .map(|fleet| (fleet, None))
+        .map_err(|e| format!("create {}: {e}", dir.display()))
+}
+
 /// Starts the daemon: opens (or recovers) the persistent fleet in
 /// `options.dir`, binds `socket_path` (an existing socket file is
 /// replaced — the expected leftover of a SIGKILL), optionally binds a
@@ -308,55 +329,16 @@ pub fn serve(
         tracer.set_capacity((options.config.lanes * 8).max(1 << 16));
         tracer.enable();
     }
-    let (fleet, recovery) = if options.recover {
-        let (fleet, outcome) = PersistentFleet::recover(
-            &options.dir,
-            &options.config,
-            options.threads,
-            options.snapshot_every,
-        )
-        .map_err(|e| format!("recover {}: {e}", options.dir.display()))?;
-        (fleet, Some(outcome))
-    } else {
-        let journal = options.dir.join(JOURNAL_FILE);
-        if options.dir.exists() && journal.exists() {
-            return Err(format!(
-                "{} already holds a journal; pass recover to resume it (or point the daemon at a fresh directory)",
-                options.dir.display()
-            ));
-        }
-        let fleet = PersistentFleet::create(
-            &options.dir,
-            &options.config,
-            options.threads,
-            options.snapshot_every,
-        )
-        .map_err(|e| format!("create {}: {e}", options.dir.display()))?;
-        (fleet, None)
-    };
-
-    // The realized-CR sketches are derived state over the *whole*
-    // journal (a snapshot restores estimator state but replays no
-    // stops), so a recovered daemon rebuilds them by replaying the full
-    // journal through a throwaway engine with trace emission off — the
-    // risk counters are then monotone across the crash. The hub is
-    // reset/enabled only after `recover` so the journal-tail replay
-    // inside it cannot double-count.
+    // Lit before `recover`, which records every journaled stop into the
+    // realized-CR sketches once, so the risk counters are monotone
+    // across a crash. A daemon that fails to open leaves the hub dark.
     let risk_hub = obsv::risk::global();
     risk_hub.reset();
     risk_hub.enable();
-    if recovery.is_some() {
-        let journal_path = options.dir.join(JOURNAL_FILE);
-        let bytes =
-            std::fs::read(&journal_path).map_err(|e| format!("{}: {e}", journal_path.display()))?;
-        let journal = fleetstate::parse_journal(&bytes)
-            .map_err(|e| format!("risk rebuild: {}: {e}", journal_path.display()))?;
-        let mut rebuild = fleetstate::FleetRunner::new(&options.config, options.threads)
-            .map_err(|e| format!("risk rebuild: {e}"))?;
-        for block in journal.steps.chunks(4096) {
-            rebuild.run_block(block, false).map_err(|e| format!("risk rebuild: {e}"))?;
-        }
-    }
+    let (fleet, recovery) = open_fleet(options).map_err(|e| {
+        risk_hub.disable();
+        e
+    })?;
 
     let shared = Arc::new(Shared::new(options.config));
     shared.step.store(fleet.runner().step(), Ordering::Relaxed);
@@ -606,7 +588,10 @@ fn handle_conn(
             }
             Request::Submit { first_step, rows } => {
                 let (tx, rx) = std::sync::mpsc::sync_channel(1);
-                let depth = shared.queue_depth.load(Ordering::Relaxed);
+                // Counted before the send so the engine's decrement
+                // cannot run first and wrap it; uncounted on refusal.
+                // Relaxed: depth is advisory (Stats + Busy echo).
+                let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed);
                 let job = EngineJob::Submit {
                     client: client_id,
                     first_step,
@@ -616,13 +601,11 @@ fn handle_conn(
                 };
                 match jobs.try_send(job) {
                     Ok(()) => {
-                        // Relaxed: depth is advisory (Stats + Busy echo);
-                        // the queue itself is the synchronizing structure.
-                        let depth = shared.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                        shared.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+                        shared.queue_depth_peak.fetch_max(depth + 1, Ordering::Relaxed);
                         rx.recv().unwrap_or(Reply::Error { message: "daemon stopped".into() })
                     }
                     Err(TrySendError::Full(_)) => {
+                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
                         session_event(
                             shared,
@@ -633,6 +616,7 @@ fn handle_conn(
                         Reply::Busy { queued: depth as u32, capacity: queue_capacity as u32 }
                     }
                     Err(TrySendError::Disconnected(_)) => {
+                        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         Reply::Error { message: "daemon stopped".into() }
                     }
                 }
@@ -662,7 +646,7 @@ fn handle_conn(
                 // Replay streams multiple Events frames; forward them
                 // all, then continue serving this connection.
                 let (tx, rx) = std::sync::mpsc::sync_channel(4);
-                if jobs.send(EngineJob::Replay { client: client_id, reply: tx }).is_err() {
+                if jobs.send(EngineJob::Replay { reply: tx }).is_err() {
                     Reply::Error { message: "daemon stopped".into() }
                 } else {
                     let mut failed = false;
@@ -818,8 +802,8 @@ fn engine_loop(
                 let _ = reply.send(answer);
                 broadcast(subscribers, shared);
             }
-            EngineJob::Replay { client, reply } => {
-                run_replay(options, client, &reply);
+            EngineJob::Replay { reply } => {
+                run_replay(options, &reply);
                 broadcast(subscribers, shared);
             }
             EngineJob::Shutdown { reply } => {
@@ -842,43 +826,44 @@ fn engine_loop(
 
 /// Replays the complete journal through a fresh engine (the journal
 /// holds every step since creation — snapshots never truncate it) and
-/// streams the regenerated canonical events back in chunks.
-fn run_replay(options: &ServeOptions, client: u64, reply: &SyncSender<Reply>) {
-    // The replay emits through the global tracer; the engine drains it
-    // after every block, so whatever is pending now belongs to earlier
-    // work — flush it to subscribers is already done, and the tracer is
-    // empty here. Run, then drain everything the replay produced.
-    let journal_path = options.dir.join(JOURNAL_FILE);
-    let replayed = if options.emit_trace {
-        // The full-journal replay re-runs every stop through a fresh
-        // engine; park the risk hub so the live sketches are not
-        // double-counted. (Runs on the engine thread, so no block is
-        // processed concurrently.)
-        let hub = obsv::risk::global();
-        let was_risk = hub.is_enabled();
-        if was_risk {
-            hub.disable();
-        }
-        let result = fleetstate::replay_session(&journal_path, &options.config, options.threads);
-        if was_risk {
-            hub.enable();
-        }
-        result
-    } else {
-        let _ = client;
+/// streams the regenerated canonical events back in chunks. A history
+/// longer than the trace ring is refused, never streamed truncated.
+fn run_replay(options: &ServeOptions, reply: &SyncSender<Reply>) {
+    if !options.emit_trace {
         let _ = reply.send(Reply::Error {
             message: "daemon runs with tracing disabled; no events to replay".into(),
         });
         return;
-    };
-    match replayed {
-        Ok(_runner) => {
-            let records = obsv::tracer::global().drain_sorted();
-            if records.is_empty() {
-                let _ = reply.send(Reply::Events { last: true, jsonl: String::new() });
-                return;
+    }
+    // The engine drains the tracer after every block, so it holds only
+    // what the replay emits. The replay re-runs every stop, so the risk
+    // hub is parked to keep the live sketches from double-counting (on
+    // the engine thread, so no block runs concurrently).
+    let tracer = obsv::tracer::global();
+    let dropped_before = tracer.dropped();
+    let hub = obsv::risk::global();
+    let was_risk = hub.is_enabled();
+    hub.disable();
+    let replayed = fleetstate::replay_session(
+        &options.dir.join(JOURNAL_FILE),
+        &options.config,
+        options.threads,
+    );
+    if was_risk {
+        hub.enable();
+    }
+    let dropped = tracer.dropped().saturating_sub(dropped_before);
+    let message = match replayed {
+        Err(e) => format!("replay: {e}"),
+        Ok(_) if dropped > 0 => {
+            format!("replay: trace ring overflowed, {dropped} records dropped; history incomplete")
+        }
+        Ok(_) => {
+            let records = tracer.drain_sorted();
+            let mut chunks: Vec<&[TraceRecord]> = records.chunks(EVENTS_CHUNK).collect();
+            if chunks.is_empty() {
+                chunks.push(&[]);
             }
-            let chunks: Vec<&[TraceRecord]> = records.chunks(EVENTS_CHUNK).collect();
             let n = chunks.len();
             for (i, chunk) in chunks.into_iter().enumerate() {
                 let msg = Reply::Events { last: i + 1 == n, jsonl: obsv::event::to_jsonl(chunk) };
@@ -886,11 +871,12 @@ fn run_replay(options: &ServeOptions, client: u64, reply: &SyncSender<Reply>) {
                     return;
                 }
             }
+            return;
         }
-        Err(e) => {
-            let _ = reply.send(Reply::Error { message: format!("replay: {e}") });
-        }
-    }
+    };
+    // Nothing of a failed replay may reach the live subscribers.
+    tracer.clear();
+    let _ = reply.send(Reply::Error { message });
 }
 
 /// Drains the global tracer and fans the batch out to subscribers; a

@@ -344,3 +344,90 @@ fn recovered_daemon_resumes_bit_identically() {
     assert_eq!(got, want, "recovered + resumed state diverged from uninterrupted run");
     restarted.handle.stop();
 }
+
+/// Two clients hammering one-step Submits: the queue-depth counter must
+/// never wrap below zero (the engine may dequeue, run and uncount a job
+/// before the connection thread that queued it runs again), and it
+/// settles back to zero once every reply is in. Two spinning threads
+/// oversubscribe the cores so connection threads get preempted mid-way.
+#[test]
+fn queue_depth_never_underflows_under_concurrent_submits() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("depth");
+    let opts =
+        ServeOptions { config: FleetConfig { lanes: 1, ..config() }, ..options(&dir, false) };
+    let started = serve(&opts, &socket, None).unwrap();
+
+    const CLIENTS: usize = 2;
+    const SUBMITS: usize = 5000;
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let socket = socket.clone();
+                scope.spawn(move || {
+                    let mut client = Client::connect_unix(&socket).unwrap();
+                    for i in 0..SUBMITS {
+                        let row = vec![vec![((c * SUBMITS + i) % 113) as f64]];
+                        match client.submit(u64::MAX, &row).unwrap() {
+                            Reply::Decisions { .. } | Reply::Busy { .. } => {}
+                            other => panic!("client {c} submit {i}: unexpected {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let joined: Vec<_> = clients.into_iter().map(|h| h.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        for result in joined {
+            result.unwrap();
+        }
+    });
+
+    let mut client = Client::connect_unix(&socket).unwrap();
+    assert_eq!(client.stats().unwrap().queue_depth, 0);
+    started.handle.stop();
+}
+
+/// A replayed history longer than the trace ring is refused with an
+/// error naming the dropped records — never streamed as a silently
+/// truncated `last: true` sequence — and the next replay that fits is
+/// whole again.
+#[test]
+fn replay_overflowing_the_trace_ring_is_an_error() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, socket) = scratch("replay-overflow");
+    let started = serve(&options(&dir, true), &socket, None).unwrap();
+    let tracer = obsv::tracer::global();
+    let capacity = tracer.capacity();
+
+    let mut client = Client::connect_unix(&socket).unwrap();
+    for i in 0..3 {
+        let reply = client.submit(i * STEPS as u64, &rows(i * STEPS as u64, STEPS)).unwrap();
+        assert!(matches!(reply, Reply::Decisions { .. }), "block {i}: {reply:?}");
+    }
+
+    // Each lane owns one tracer shard and replays 3 * STEPS records.
+    tracer.set_capacity(2 * STEPS);
+    let err = client.replay_events().unwrap_err();
+    tracer.set_capacity(capacity);
+    let message = err.to_string();
+    assert!(message.contains("dropped"), "{message}");
+    let expected_dropped = LANES * STEPS;
+    assert!(message.contains(&format!("{expected_dropped} records")), "{message}");
+
+    let replayed = client.replay_events().unwrap();
+    let lane_records = replayed.iter().filter(|r| r.stream < config().meta_stream()).count();
+    assert_eq!(lane_records, 3 * STEPS * LANES);
+
+    started.handle.stop();
+    tracer.disable();
+}

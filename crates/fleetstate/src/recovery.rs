@@ -23,7 +23,7 @@
 use std::path::Path;
 
 use crate::error::{io_err, PersistError};
-use crate::journal::parse_journal;
+use crate::journal::{parse_journal, JournalContents};
 use crate::runner::FleetRunner;
 use crate::snapshot::scan_snapshots;
 use crate::state::FleetConfig;
@@ -59,6 +59,10 @@ pub struct RecoveryOutcome {
 /// already emitted them, so the merged trace equals an uninterrupted
 /// run's.
 ///
+/// With the [`obsv::risk`] hub lit, every journaled stop is recorded in
+/// it exactly once: no snapshot carries a stop's realized ratio, so the
+/// steps the snapshot covers replay too, through a scratch runner.
+///
 /// # Errors
 ///
 /// [`PersistError::Io`] if the journal is unreadable (a missing journal
@@ -78,9 +82,7 @@ pub fn recover_fleet(
     expected: &FleetConfig,
     threads: usize,
 ) -> Result<(FleetRunner, RecoveryOutcome), PersistError> {
-    let journal_bytes = std::fs::read(journal_path).map_err(|e| io_err(journal_path, &e))?;
-    let journal = parse_journal(&journal_bytes)?;
-    expected.ensure_matches(&journal.config)?;
+    let journal = read_journal(journal_path, expected)?;
     let journal_steps = journal.steps.len() as u64;
 
     let snapshot_bytes = match std::fs::read(snapshot_path) {
@@ -101,7 +103,7 @@ pub fn recover_fleet(
 
     // Drop the torn tail on disk too, so the reopened journal appends
     // cleanly after the last valid frame.
-    if journal.clean_len < journal_bytes.len() as u64 {
+    if journal.torn_tail {
         let file = std::fs::OpenOptions::new()
             .write(true)
             .open(journal_path)
@@ -114,7 +116,10 @@ pub fn recover_fleet(
         Some(state) => (FleetRunner::from_state(state, threads)?, state.step),
         None => (FleetRunner::new(expected, threads)?, 0),
     };
-    let tail = &journal.steps[snapshot_step as usize..];
+    let (covered, tail) = journal.steps.split_at(snapshot_step as usize);
+    if obsv::risk::active() {
+        FleetRunner::new(expected, threads)?.run_block(covered, false)?;
+    }
     runner.run_block(tail, false)?;
     debug_assert_eq!(runner.step(), journal_steps);
 
@@ -150,11 +155,6 @@ pub fn recover_fleet(
     Ok((runner, outcome))
 }
 
-/// Steps per replay block in [`replay_session`] — bounds transient
-/// memory without changing results (block boundaries are invisible to
-/// the lane-local engine).
-const REPLAY_SESSION_BLOCK: usize = 256;
-
 /// Replays the *complete* journal — every step from zero, not just the
 /// tail past a snapshot — through a fresh cold-start runner **with
 /// trace emission on**, regenerating the canonical per-stop event
@@ -183,14 +183,18 @@ pub fn replay_session(
     expected: &FleetConfig,
     threads: usize,
 ) -> Result<FleetRunner, PersistError> {
-    let bytes = std::fs::read(journal_path).map_err(|e| io_err(journal_path, &e))?;
+    let journal = read_journal(journal_path, expected)?;
+    let mut runner = FleetRunner::new(expected, threads)?;
+    runner.run_block(&journal.steps, true)?;
+    Ok(runner)
+}
+
+/// Reads the journal at `path` and checks its header against `expected`.
+fn read_journal(path: &Path, expected: &FleetConfig) -> Result<JournalContents, PersistError> {
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, &e))?;
     let journal = parse_journal(&bytes)?;
     expected.ensure_matches(&journal.config)?;
-    let mut runner = FleetRunner::new(expected, threads)?;
-    for block in journal.steps.chunks(REPLAY_SESSION_BLOCK) {
-        runner.run_block(block, true)?;
-    }
-    Ok(runner)
+    Ok(journal)
 }
 
 #[cfg(test)]

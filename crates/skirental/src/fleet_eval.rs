@@ -24,7 +24,6 @@ use std::fmt;
 
 /// The strategies compared in the paper's experiments (Figure 4 legend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Strategy {
     /// Never turn the engine off.
     Nev,

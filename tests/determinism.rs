@@ -61,6 +61,9 @@ fn bootstrap_ci_bit_identical_across_thread_counts() {
 /// boundaries cannot influence a single draw.
 #[test]
 fn batch_engine_bit_identical_across_thread_counts() {
+    // `run_fleet_scalar` runs the scalar controller, which records every
+    // stop into the tracer and the risk hub whenever they are lit.
+    let _guard = PROCESS_WIDE.lock().unwrap_or_else(PoisonError::into_inner);
     let traces = FleetConfig::new(Area::Chicago).vehicles(23).synthesize(41);
     let stops: Vec<Vec<f64>> = traces.iter().map(VehicleTrace::stop_lengths).collect();
     let b = BreakEven::SSV;
@@ -84,8 +87,8 @@ fn batch_engine_bit_identical_across_thread_counts() {
 /// `(stream, stop, seq)` coordinates, never by thread or arrival order.
 ///
 /// Uses the process-wide tracer (like a `--trace` bin run would); safe
-/// here because the other tests in this binary drive no instrumented
-/// per-stop call sites, so nothing else records into it.
+/// here because every other test in this binary that drives
+/// instrumented per-stop call sites holds `PROCESS_WIDE` too.
 #[test]
 fn decision_traces_bit_identical_across_thread_counts() {
     let _guard = PROCESS_WIDE.lock().unwrap_or_else(PoisonError::into_inner);
@@ -201,4 +204,58 @@ fn risk_reports_bit_identical_across_thread_counts() {
     for tau in obsv::risk::TAU_LADDER {
         assert_eq!(remerged.exceed_count(tau), reference.fleet.exceed_count(tau));
     }
+}
+
+/// A lit recovery rebuilds the realized-CR sketches of the *whole*
+/// journal — the stops a snapshot covers as well as the replayed tail —
+/// so the recovered risk report is byte-identical to an uninterrupted
+/// lit run's at every thread count.
+#[test]
+fn lit_recovery_risk_report_equals_uninterrupted_run() {
+    let _guard = PROCESS_WIDE.lock().unwrap_or_else(PoisonError::into_inner);
+    let lanes = 9usize;
+    let rows: Vec<Vec<f64>> = (0..50u64)
+        .map(|t| (0..lanes as u64).map(|i| 1.0 + ((t * 37 + i * 11) % 97) as f64 * 1.7).collect())
+        .collect();
+    let config = fleetstate::FleetConfig {
+        lanes,
+        break_even: 28.0,
+        window: Some(12),
+        min_history: 3,
+        seed: 11,
+        trace_stream_base: 500,
+    };
+    let hub = obsv::risk::global();
+
+    hub.reset();
+    hub.enable();
+    fleetstate::FleetRunner::new(&config, 1).unwrap().run_block(&rows, false).unwrap();
+    hub.disable();
+    let reference = hub.report().to_value().to_string();
+
+    for threads in [1, 2, 8] {
+        let dir = std::env::temp_dir()
+            .join(format!("determinism-lit-recovery-{}-{threads}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut fleet = fleetstate::PersistentFleet::create(&dir, &config, threads, 16).unwrap();
+        for block in rows.chunks(4) {
+            fleet.run_block(block, false).unwrap();
+        }
+        drop(fleet);
+
+        hub.reset();
+        hub.enable();
+        let (recovered, outcome) =
+            fleetstate::PersistentFleet::recover(&dir, &config, threads, 16).unwrap();
+        hub.disable();
+        assert_eq!((outcome.snapshot_step, outcome.frames_replayed), (48, 2));
+        assert_eq!(recovered.runner().step(), 50);
+        assert_eq!(
+            hub.report().to_value().to_string(),
+            reference,
+            "recovered risk report drifted at {threads} threads"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    hub.reset();
 }
