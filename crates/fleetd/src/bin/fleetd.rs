@@ -25,7 +25,10 @@ fn usage() -> ExitCode {
          Starts fresh in DIR (refusing an existing journal) unless --recover,\n\
          which resumes the journaled state bit-identically.\n\
          --telemetry-addr serves GET /metrics (Prometheus text exposition)\n\
-         and GET /healthz over plain HTTP."
+         and GET /healthz over plain HTTP.\n\
+         --no-trace sends subscribers (fleetctl tail) no events. With tracing\n\
+         on, a block's decision records are derived only while a tail is\n\
+         subscribed. fleetctl replay works either way."
     );
     ExitCode::from(2)
 }

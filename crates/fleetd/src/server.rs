@@ -23,9 +23,10 @@
 //!   client decides whether to retry — rather than buffering without
 //!   bound or stalling the socket.
 //! * **Subscribers** register a bounded channel; after each block the
-//!   engine drains the global tracer and broadcasts the batch. A
-//!   subscriber that falls behind its channel capacity is dropped (a
-//!   tail is a *view*; the journal, not the tail, is the record).
+//!   engine derives the block's lane records, appends those drained from
+//!   the global tracer, and broadcasts the batch. A subscriber that falls
+//!   behind its channel capacity is dropped (a tail is a *view*; the
+//!   journal, not the tail, is the record).
 //! * **Telemetry** rides a daemon-owned [`crate::telemetry::Telemetry`]
 //!   registry: each request stage (queue wait, frame decode, engine
 //!   decide, journal append, fsync, reply write) records into a
@@ -42,9 +43,10 @@
 //! With tracing on, the daemon lays out streams as: `base + lane` for
 //! per-lane decision records, `base + lanes` (the meta stream) for
 //! checkpoint/recovery events, and `base + lanes + 1 + client_id` for
-//! per-connection [`obsv::TraceEvent::Session`] events. Offline tooling
-//! compares lane streams only, so session chatter never perturbs the
-//! byte-identical replay contract.
+//! per-connection [`obsv::TraceEvent::Session`] events; lane records are
+//! derived from decisions, the rest go through the global tracer.
+//! Offline tooling compares lane streams only, so session chatter never
+//! perturbs the byte-identical replay contract.
 
 use crate::proto::{self, Reply, Request, StatsInfo};
 use crate::telemetry::Telemetry;
@@ -82,8 +84,8 @@ pub struct ServeOptions {
     /// Ingest queue capacity, blocks. A full queue answers
     /// [`Reply::Busy`].
     pub queue_capacity: usize,
-    /// Emit canonical trace events through the global tracer (enables
-    /// subscribe tails and `--record`; costs a per-stop record).
+    /// Feed subscribe tails (and so `--record`); a block's lane records are
+    /// derived only while a tail is registered. Replay works either way.
     pub emit_trace: bool,
     /// Debug throttle: sleep this long before each ingested block.
     /// Drills use it (with a tiny queue) to make backpressure
@@ -323,11 +325,7 @@ pub fn serve(
     tcp_addr: Option<&str>,
 ) -> Result<Started, String> {
     if options.emit_trace {
-        let tracer = obsv::tracer::global();
-        // Capacity covers the largest block between drains; the engine
-        // drains after every block.
-        tracer.set_capacity((options.config.lanes * 8).max(1 << 16));
-        tracer.enable();
+        obsv::tracer::global().enable();
     }
     // Lit before `recover`, which records every journaled stop into the
     // realized-CR sketches once, so the risk counters are monotone
@@ -533,15 +531,19 @@ fn accept_loop<F>(
 
 /// Emits a session trace event on the connection's own stream
 /// (`meta + 1 + client_id`), so concurrent connections never collide on
-/// `(stream, stop, seq)` keys.
+/// `(stream, stop, seq)` keys. Its thread binds the tracer to that stream
+/// once, so `seq` numbers the connection's events in emission order.
 fn session_event(shared: &Shared, client: u64, what: &'static str, detail: String) {
     if !obsv::tracer::observing() {
         return;
     }
+    let stream = shared.config.meta_stream() + 1 + client;
+    if obsv::tracer::current().0 != stream {
+        obsv::tracer::set_stream(stream);
+    }
     // Relaxed: the step only decorates the event; session streams are
     // keyed by client id, so a stale read cannot collide records.
     let step = shared.step.load(Ordering::Relaxed);
-    obsv::tracer::set_stream(shared.config.meta_stream() + 1 + client);
     obsv::tracer::begin_stop(step);
     obsv::tracer::emit(TraceEvent::Session { what: what.into(), client, step, detail });
 }
@@ -735,7 +737,6 @@ fn engine_loop(
     subscribers: &Subscribers,
     options: &ServeOptions,
 ) {
-    let emit = options.emit_trace;
     while let Ok(job) = jobs.recv() {
         match job {
             EngineJob::Submit { client, first_step, rows, reply, enqueued } => {
@@ -745,48 +746,51 @@ fn engine_loop(
                     std::thread::sleep(std::time::Duration::from_millis(options.engine_delay_ms));
                 }
                 let step = fleet.runner().step();
-                let answer = if first_step != u64::MAX && first_step != step {
-                    Reply::Error {
-                        message: format!(
-                            "step mismatch: daemon is at step {step}, block starts at {first_step}"
-                        ),
-                    }
+                let decided = if first_step != u64::MAX && first_step != step {
+                    Err(format!(
+                        "step mismatch: daemon is at step {step}, block starts at {first_step}"
+                    ))
                 } else {
-                    match fleet.run_block_decided_timed(&rows, emit) {
-                        Ok((decisions, timing)) => {
-                            let t = &shared.telemetry;
-                            t.journal_append.record_seconds(timing.journal_write_s);
-                            t.journal_fsync.record_seconds(timing.journal_sync_s);
-                            t.engine_decide.record_seconds(timing.decide_s);
-                            publish_journal_gauges(t, &fleet);
-                            shared.blocks_ingested.fetch_add(1, Ordering::Relaxed);
-                            shared.step.store(fleet.runner().step(), Ordering::Relaxed);
-                            shared
-                                .journal_frames
-                                .store(fleet.journal().frames_written(), Ordering::Relaxed);
-                            let totals = fleet.runner().totals();
-                            shared.online_bits.store(totals.0.to_bits(), Ordering::Relaxed);
-                            shared.offline_bits.store(totals.1.to_bits(), Ordering::Relaxed);
-                            Reply::Decisions {
-                                first_step: step,
-                                steps: decisions.steps() as u32,
-                                lanes: decisions.lanes() as u32,
-                                thresholds: decisions.thresholds().to_vec(),
-                                vertices: decisions.vertices().to_vec(),
-                            }
-                        }
-                        Err(e) => {
-                            // A persist failure voids the write-ahead
-                            // guarantee: flag the journal unhealthy so
-                            // /healthz flips to unready.
-                            shared.journal_ok.store(false, Ordering::Relaxed);
-                            Reply::Error { message: format!("client {client}: {e}") }
+                    fleet.run_block_decided_timed(&rows, false).map_err(|e| {
+                        // A persist failure voids the write-ahead
+                        // guarantee: flag the journal unhealthy so
+                        // /healthz flips to unready.
+                        shared.journal_ok.store(false, Ordering::Relaxed);
+                        format!("client {client}: {e}")
+                    })
+                };
+                let answer = match &decided {
+                    Ok((decisions, timing)) => {
+                        let t = &shared.telemetry;
+                        t.journal_append.record_seconds(timing.journal_write_s);
+                        t.journal_fsync.record_seconds(timing.journal_sync_s);
+                        t.engine_decide.record_seconds(timing.decide_s);
+                        publish_journal_gauges(t, &fleet);
+                        shared.blocks_ingested.fetch_add(1, Ordering::Relaxed);
+                        shared.step.store(fleet.runner().step(), Ordering::Relaxed);
+                        shared
+                            .journal_frames
+                            .store(fleet.journal().frames_written(), Ordering::Relaxed);
+                        let totals = fleet.runner().totals();
+                        shared.online_bits.store(totals.0.to_bits(), Ordering::Relaxed);
+                        shared.offline_bits.store(totals.1.to_bits(), Ordering::Relaxed);
+                        Reply::Decisions {
+                            first_step: step,
+                            steps: decisions.steps() as u32,
+                            lanes: decisions.lanes() as u32,
+                            thresholds: decisions.thresholds().to_vec(),
+                            vertices: decisions.vertices().to_vec(),
                         }
                     }
+                    Err(message) => Reply::Error { message: message.clone() },
                 };
                 shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 let _ = reply.send(answer);
-                broadcast(subscribers, shared);
+                let served = decided.ok().filter(|_| options.emit_trace);
+                let runner = fleet.runner();
+                let lane_records =
+                    served.iter().flat_map(|(d, _)| runner.stop_cost_records(step, &rows, d));
+                broadcast(subscribers, shared, lane_records);
             }
             EngineJob::ExportState { reply } => {
                 let bytes = fleetstate::encode_fleet_state(&fleet.runner().export_state());
@@ -800,11 +804,11 @@ fn engine_loop(
                     Err(e) => Reply::Error { message: e.to_string() },
                 };
                 let _ = reply.send(answer);
-                broadcast(subscribers, shared);
+                broadcast(subscribers, shared, std::iter::empty());
             }
             EngineJob::Replay { reply } => {
                 run_replay(options, &reply);
-                broadcast(subscribers, shared);
+                broadcast(subscribers, shared, std::iter::empty());
             }
             EngineJob::Shutdown { reply } => {
                 // Release: publishes every engine write above to threads
@@ -826,70 +830,58 @@ fn engine_loop(
 
 /// Replays the complete journal through a fresh engine (the journal
 /// holds every step since creation — snapshots never truncate it) and
-/// streams the regenerated canonical events back in chunks. A history
-/// longer than the trace ring is refused, never streamed truncated.
+/// streams the lane records derived from its decisions back in chunks.
+/// No trace ring caps the history.
 fn run_replay(options: &ServeOptions, reply: &SyncSender<Reply>) {
-    if !options.emit_trace {
-        let _ = reply.send(Reply::Error {
-            message: "daemon runs with tracing disabled; no events to replay".into(),
-        });
-        return;
-    }
-    // The engine drains the tracer after every block, so it holds only
-    // what the replay emits. The replay re-runs every stop, so the risk
-    // hub is parked to keep the live sketches from double-counting (on
-    // the engine thread, so no block runs concurrently).
-    let tracer = obsv::tracer::global();
-    let dropped_before = tracer.dropped();
+    // The replay re-runs every stop, so the risk hub is parked to keep
+    // the live sketches from double-counting (on the engine thread, so
+    // no block runs concurrently).
     let hub = obsv::risk::global();
     let was_risk = hub.is_enabled();
     hub.disable();
-    let replayed = fleetstate::replay_session(
-        &options.dir.join(JOURNAL_FILE),
-        &options.config,
-        options.threads,
-    );
+    let journal = options.dir.join(JOURNAL_FILE);
+    let replayed = fleetstate::replay_session(&journal, &options.config, options.threads);
     if was_risk {
         hub.enable();
     }
-    let dropped = tracer.dropped().saturating_sub(dropped_before);
-    let message = match replayed {
-        Err(e) => format!("replay: {e}"),
-        Ok(_) if dropped > 0 => {
-            format!("replay: trace ring overflowed, {dropped} records dropped; history incomplete")
-        }
-        Ok(_) => {
-            let records = tracer.drain_sorted();
-            let mut chunks: Vec<&[TraceRecord]> = records.chunks(EVENTS_CHUNK).collect();
-            if chunks.is_empty() {
-                chunks.push(&[]);
-            }
-            let n = chunks.len();
-            for (i, chunk) in chunks.into_iter().enumerate() {
-                let msg = Reply::Events { last: i + 1 == n, jsonl: obsv::event::to_jsonl(chunk) };
-                if reply.send(msg).is_err() {
-                    return;
-                }
-            }
+    let (runner, steps, decisions) = match replayed {
+        Ok(replayed) => replayed,
+        Err(e) => {
+            let _ = reply.send(Reply::Error { message: format!("replay: {e}") });
             return;
         }
     };
-    // Nothing of a failed replay may reach the live subscribers.
-    tracer.clear();
-    let _ = reply.send(Reply::Error { message });
+    let mut records = runner.stop_cost_records(0, &steps, &decisions).peekable();
+    loop {
+        let chunk: Vec<TraceRecord> = records.by_ref().take(EVENTS_CHUNK).collect();
+        let last = records.peek().is_none();
+        let msg = Reply::Events { last, jsonl: obsv::event::to_jsonl(&chunk) };
+        if reply.send(msg).is_err() || last {
+            return;
+        }
+    }
 }
 
-/// Drains the global tracer and fans the batch out to subscribers; a
-/// subscriber whose queue is full (or gone) is dropped.
-fn broadcast(subscribers: &Subscribers, shared: &Arc<Shared>) {
-    if !obsv::tracer::active() {
+/// Fans one batch out to subscribers; a subscriber whose queue is full
+/// (or gone) is dropped. The batch is the block's `lane_records`, drawn
+/// (and so derived) only when someone is subscribed, then the records
+/// drained from the global tracer: the daemon's own lie on the meta
+/// stream and above, so key order holds.
+fn broadcast<I>(subscribers: &Subscribers, shared: &Arc<Shared>, lane_records: I)
+where
+    I: Iterator<Item = TraceRecord>,
+{
+    let drained =
+        if obsv::tracer::active() { obsv::tracer::global().drain_sorted() } else { Vec::new() };
+    if subscribers.lock().unwrap_or_else(PoisonError::into_inner).is_empty() {
         return;
     }
-    let records = obsv::tracer::global().drain_sorted();
-    if records.is_empty() {
+    let mut batch: Vec<TraceRecord> = lane_records.collect();
+    batch.extend(drained);
+    if batch.is_empty() {
         return;
     }
-    let batch = Arc::new(records);
+    let batch = Arc::new(batch);
     let mut subs = subscribers.lock().unwrap_or_else(PoisonError::into_inner);
     let before = subs.len();
     subs.retain(|s| {

@@ -397,37 +397,105 @@ fn queue_depth_never_underflows_under_concurrent_submits() {
     started.handle.stop();
 }
 
-/// A replayed history longer than the trace ring is refused with an
-/// error naming the dropped records — never streamed as a silently
-/// truncated `last: true` sequence — and the next replay that fits is
-/// whole again.
+/// Replay derives its records from the journal instead of routing them
+/// through the trace ring, so a history longer than the ring streams
+/// whole: with the ring shrunk below one lane's history, the replay
+/// still equals the golden lane history record for record.
 #[test]
-fn replay_overflowing_the_trace_ring_is_an_error() {
+fn replay_longer_than_the_trace_ring_streams_whole() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (dir, socket) = scratch("replay-overflow");
-    let started = serve(&options(&dir, true), &socket, None).unwrap();
     let tracer = obsv::tracer::global();
     let capacity = tracer.capacity();
+    tracer.set_capacity(1 << 16);
+    tracer.enable();
+    tracer.clear();
 
+    let blocks: Vec<Vec<Vec<f64>>> = (0..3).map(|i| rows(i * STEPS as u64, STEPS)).collect();
+    let mut golden_engine = FleetRunner::new(&config(), 2).unwrap();
+    for block in &blocks {
+        golden_engine.run_block(block, true).unwrap();
+    }
+    let meta = config().meta_stream();
+    let golden: Vec<_> = tracer.drain_sorted().into_iter().filter(|r| r.stream < meta).collect();
+    assert_eq!(golden.len(), 3 * STEPS * LANES);
+
+    let (dir, socket) = scratch("replay-ring");
+    let started = serve(&options(&dir, true), &socket, None).unwrap();
     let mut client = Client::connect_unix(&socket).unwrap();
-    for i in 0..3 {
-        let reply = client.submit(i * STEPS as u64, &rows(i * STEPS as u64, STEPS)).unwrap();
+    for (i, block) in blocks.iter().enumerate() {
+        let reply = client.submit(i as u64 * STEPS as u64, block).unwrap();
         assert!(matches!(reply, Reply::Decisions { .. }), "block {i}: {reply:?}");
     }
 
     // Each lane owns one tracer shard and replays 3 * STEPS records.
     tracer.set_capacity(2 * STEPS);
-    let err = client.replay_events().unwrap_err();
+    let replayed = client.replay_events();
     tracer.set_capacity(capacity);
-    let message = err.to_string();
-    assert!(message.contains("dropped"), "{message}");
-    let expected_dropped = LANES * STEPS;
-    assert!(message.contains(&format!("{expected_dropped} records")), "{message}");
-
-    let replayed = client.replay_events().unwrap();
-    let lane_records = replayed.iter().filter(|r| r.stream < config().meta_stream()).count();
-    assert_eq!(lane_records, 3 * STEPS * LANES);
+    let lane_records: Vec<_> = replayed.unwrap().into_iter().filter(|r| r.stream < meta).collect();
+    assert_eq!(lane_records, golden);
 
     started.handle.stop();
+    tracer.disable();
+}
+
+/// Two session events of one connection at one step keep distinct
+/// `(stream, stop, seq)` keys, numbered in emission order, so a
+/// recorder (`fleetctl tail --record`) keeps both instead of collapsing
+/// them onto one key.
+#[test]
+fn session_events_at_one_step_keep_distinct_keys() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tracer = obsv::tracer::global();
+    tracer.enable();
+    tracer.clear();
+    let (dir, socket) = scratch("session-keys");
+    let started = serve(&options(&dir, true), &socket, None).unwrap();
+
+    let tail_socket = socket.clone();
+    let tail = std::thread::spawn(move || {
+        let mut recorder = SessionRecorder::new();
+        Client::connect_unix(&tail_socket)
+            .unwrap()
+            .subscribe(|batch| {
+                recorder.absorb(batch);
+                true
+            })
+            .unwrap();
+        recorder
+    });
+    let mut client = Client::connect_unix(&socket).unwrap();
+    for _ in 0..400 {
+        if client.stats().unwrap().subscribers >= 1 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(client.stats().unwrap().subscribers, 1, "tail never registered");
+
+    let (_, step, id) = client.hello("first").unwrap();
+    client.hello("second").unwrap();
+    assert_eq!(client.stats().unwrap().step, step, "both hellos fall on one step");
+    // The snapshot's broadcast carries the buffered session events.
+    client.snapshot().unwrap();
+    started.handle.stop();
+    let live = tail.join().unwrap();
+
+    let hellos: Vec<(u64, u64, u64, String)> = live
+        .records()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            obsv::TraceEvent::Session { what, client, detail, .. }
+                if what == "hello" && client == id =>
+            {
+                Some((r.stream, r.stop, r.seq, detail))
+            }
+            _ => None,
+        })
+        .collect();
+    let stream = config().meta_stream() + 1 + id;
+    assert_eq!(
+        hellos,
+        vec![(stream, step, 0, "first".to_string()), (stream, step, 1, "second".to_string())]
+    );
     tracer.disable();
 }

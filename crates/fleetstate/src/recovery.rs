@@ -24,7 +24,7 @@ use std::path::Path;
 
 use crate::error::{io_err, PersistError};
 use crate::journal::{parse_journal, JournalContents};
-use crate::runner::FleetRunner;
+use crate::runner::{BlockDecisions, FleetRunner};
 use crate::snapshot::scan_snapshots;
 use crate::state::FleetConfig;
 
@@ -156,17 +156,18 @@ pub fn recover_fleet(
 }
 
 /// Replays the *complete* journal — every step from zero, not just the
-/// tail past a snapshot — through a fresh cold-start runner **with
-/// trace emission on**, regenerating the canonical per-stop event
-/// history of the whole session.
+/// tail past a snapshot — through a fresh cold-start runner, returning
+/// that runner with the journal's rows and the decisions it played, from
+/// which [`FleetRunner::stop_cost_records`] derives the canonical
+/// per-stop event history of the whole session. No trace ring holds the
+/// history, so it has no length cap. Park a lit [`obsv::risk`] hub
+/// first, or the replayed stops are recorded in it twice.
 ///
 /// Snapshots never truncate the journal, so this works at any point in
 /// a session's life: a client that missed events (it connected late, or
 /// the daemon was SIGKILLed and restarted) gets the full history back
 /// and can merge it with whatever it recorded — deduplicating by
 /// `(stream, stop, seq)` yields exactly the uninterrupted run's trace.
-/// The caller owns the tracer: enable (or point a monitor at) the
-/// global tracer before calling, drain after.
 ///
 /// # Errors
 ///
@@ -182,11 +183,11 @@ pub fn replay_session(
     journal_path: &Path,
     expected: &FleetConfig,
     threads: usize,
-) -> Result<FleetRunner, PersistError> {
+) -> Result<(FleetRunner, Vec<Vec<f64>>, BlockDecisions), PersistError> {
     let journal = read_journal(journal_path, expected)?;
     let mut runner = FleetRunner::new(expected, threads)?;
-    runner.run_block(&journal.steps, true)?;
-    Ok(runner)
+    let decisions = runner.run_block_decided(&journal.steps, false)?;
+    Ok((runner, journal.steps, decisions))
 }
 
 /// Reads the journal at `path` and checks its header against `expected`.
@@ -281,7 +282,7 @@ mod tests {
         }
         drop(fleet);
 
-        let replayed = replay_session(&dir.join(JOURNAL_FILE), &config, 3).unwrap();
+        let (replayed, _, _) = replay_session(&dir.join(JOURNAL_FILE), &config, 3).unwrap();
         assert_eq!(replayed.step(), 40);
         assert_eq!(
             encode_fleet_state(&replayed.export_state()),

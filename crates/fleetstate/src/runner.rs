@@ -16,6 +16,7 @@
 
 use std::path::{Path, PathBuf};
 
+use obsv::{TraceEvent, TraceRecord};
 use skirental::batch::{
     flush_shard_observability, BatchStore, CounterRng, ShardPlan, VertexKind, VertexTally,
 };
@@ -255,11 +256,11 @@ impl FleetRunner {
 
     /// Processes a block of steps, time-major: `rows[t][i]` is lane
     /// `i`'s stop duration at step `self.step() + t`. With `emit` set
-    /// (and a tracer active), every stop emits a
-    /// [`obsv::TraceEvent::StopCost`] on stream
-    /// `trace_stream_base + lane` at the stop's global step index —
-    /// replay after recovery passes `emit = false` so the merged
-    /// pre-crash + post-recovery trace equals the uninterrupted one.
+    /// (and a tracer or monitor active), the block's
+    /// [`FleetRunner::stop_cost_records`] are fed through
+    /// [`obsv::tracer::emit`] after the block runs — replay after
+    /// recovery passes `emit = false` so the merged pre-crash +
+    /// post-recovery trace equals the uninterrupted one.
     ///
     /// The whole block is validated before any lane mutates, so a
     /// failed call leaves the fleet untouched.
@@ -269,7 +270,10 @@ impl FleetRunner {
     /// [`PersistError::BadPayload`] on a row of the wrong width or
     /// [`PersistError::Engine`] on a negative/non-finite stop.
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
-        self.run_block_inner(rows, emit, None)
+        if emit && obsv::tracer::observing() {
+            return self.run_block_decided(rows, true).map(drop);
+        }
+        self.run_block_inner(rows, None)
     }
 
     /// [`FleetRunner::run_block`] that additionally captures every
@@ -288,18 +292,51 @@ impl FleetRunner {
         rows: &[Vec<f64>],
         emit: bool,
     ) -> Result<BlockDecisions, PersistError> {
+        let first_step = self.step;
         let steps = rows.len();
         let lanes = self.config.lanes;
         let mut thresholds = vec![0.0f64; lanes * steps];
         let mut vertices = vec![VertexKind::ColdStart; lanes * steps];
-        self.run_block_inner(rows, emit, Some((&mut thresholds, &mut vertices)))?;
-        Ok(BlockDecisions { steps, lanes, thresholds, vertices })
+        self.run_block_inner(rows, Some((&mut thresholds, &mut vertices)))?;
+        let decisions = BlockDecisions { steps, lanes, thresholds, vertices };
+        if emit && obsv::tracer::observing() {
+            for record in self.stop_cost_records(first_step, rows, &decisions) {
+                obsv::tracer::set_stream(record.stream);
+                obsv::tracer::begin_stop(record.stop);
+                obsv::tracer::emit(record.event);
+            }
+        }
+        Ok(decisions)
+    }
+
+    /// The [`obsv::TraceEvent::StopCost`] records of a block this fleet
+    /// ran from step `first_step`, derived from its `rows` and
+    /// `decisions` (eq. 3) in canonical order: lane-major, stream
+    /// `trace_stream_base + lane`, stop `first_step + t`, seq 0.
+    pub fn stop_cost_records<'a>(
+        &self,
+        first_step: u64,
+        rows: &'a [Vec<f64>],
+        decisions: &'a BlockDecisions,
+    ) -> impl Iterator<Item = TraceRecord> + 'a {
+        let (base, break_even, steps) =
+            (self.config.trace_stream_base, self.break_even, decisions.steps);
+        (0..decisions.lanes).flat_map(move |lane| {
+            (0..steps).map(move |t| {
+                let (threshold_b, stop_s) = (decisions.thresholds[lane * steps + t], rows[t][lane]);
+                let (online_s, offline_s) = stop_costs(break_even, threshold_b, stop_s);
+                let restarted = !threshold_b.is_infinite() && stop_s >= threshold_b;
+                let event =
+                    TraceEvent::StopCost { threshold_b, stop_s, online_s, offline_s, restarted };
+                let (stream, stop) = (base + lane as u64, first_step + t as u64);
+                TraceRecord { stream, stop, seq: 0, event }
+            })
+        })
     }
 
     fn run_block_inner(
         &mut self,
         rows: &[Vec<f64>],
-        emit: bool,
         out: Option<(&mut [f64], &mut [VertexKind])>,
     ) -> Result<(), PersistError> {
         for row in rows {
@@ -319,12 +356,11 @@ impl FleetRunner {
             return Ok(());
         }
         let steps = rows.len();
-        let step0 = self.step;
         let break_even = self.break_even;
         let trace_base = self.config.trace_stream_base;
         if self.shards.len() == 1 {
             let shard = &mut self.shards[0];
-            process_block(shard, rows, step0, break_even, trace_base, emit, out)?;
+            process_block(shard, rows, break_even, trace_base, out)?;
         } else {
             let results: Vec<Result<(), skirental::Error>> = std::thread::scope(|scope| {
                 let mut rest = out;
@@ -343,9 +379,8 @@ impl FleetRunner {
                             None => (None, None),
                         };
                         rest = remaining;
-                        scope.spawn(move || {
-                            process_block(shard, rows, step0, break_even, trace_base, emit, mine)
-                        })
+                        scope
+                            .spawn(move || process_block(shard, rows, break_even, trace_base, mine))
                     })
                     .collect();
                 handles
@@ -362,23 +397,27 @@ impl FleetRunner {
     }
 }
 
+/// Online and offline cost of stop `y` under threshold `x` (eqs. 3, 2) —
+/// the same bits as the engine's reference loop in `process_shard`.
+fn stop_costs(break_even: BreakEven, x: f64, y: f64) -> (f64, f64) {
+    let online = if x.is_infinite() { y } else { break_even.online_cost(x, y) };
+    (online, break_even.offline_cost(y))
+}
+
 /// Runs one shard through a block of steps: decide the shard's lanes in
-/// one flat pass per step, settle costs with expressions identical to
-/// the engine's reference loop, observe, and flush observability once.
+/// one flat pass per step, settle costs, observe, and flush
+/// observability once. No trace: see [`FleetRunner::stop_cost_records`].
 fn process_block(
     shard: &mut ShardState,
     rows: &[Vec<f64>],
-    step0: u64,
     break_even: BreakEven,
     trace_base: u64,
-    emit: bool,
     mut out: Option<(&mut [f64], &mut [VertexKind])>,
 ) -> Result<(), skirental::Error> {
     let lanes = shard.lanes();
     let steps = rows.len();
     let mut tally = VertexTally::default();
     let mut observations = 0u64;
-    let tracing = emit && obsv::tracer::observing();
     // Risk sketches are *state*, not trace: they record even when trace
     // emission is suppressed (journal-tail replay after recovery), so a
     // recovered daemon's risk counters are monotone across the crash.
@@ -395,7 +434,6 @@ fn process_block(
     }
     for (t, row) in rows.iter().enumerate() {
         shard.store.decide_batch(&mut shard.rngs, &mut shard.thresholds, &mut shard.vertices)?;
-        let step = step0 + t as u64;
         for lane in 0..lanes {
             let y = row[shard.base + lane];
             let x = shard.thresholds[lane];
@@ -403,10 +441,7 @@ fn process_block(
                 th[lane * steps + t] = x;
                 vx[lane * steps + t] = shard.vertices[lane];
             }
-            // Same cost expression (and therefore bits) as the engine's
-            // reference loop in `process_shard`.
-            let cost = if x.is_infinite() { y } else { break_even.online_cost(x, y) };
-            let off = break_even.offline_cost(y);
+            let (cost, off) = stop_costs(break_even, x, y);
             shard.online[lane] += cost;
             shard.offline[lane] += off;
             tally.count(shard.vertices[lane]);
@@ -414,20 +449,6 @@ fn process_block(
             observations += 1;
             if risk_on {
                 shard.risk_lanes[lane].record_ratio(cost, off);
-            }
-            if tracing {
-                // One record per (lane, step): stream identifies the
-                // lane, stop the step, so the merged sort order is
-                // independent of thread count and crash boundaries.
-                obsv::tracer::set_stream(trace_base + (shard.base + lane) as u64);
-                obsv::tracer::begin_stop(step);
-                obsv::tracer::emit(obsv::TraceEvent::StopCost {
-                    threshold_b: x,
-                    stop_s: y,
-                    online_s: cost,
-                    offline_s: off,
-                    restarted: !x.is_infinite() && y >= x,
-                });
             }
         }
     }
@@ -557,33 +578,19 @@ impl PersistentFleet {
     /// Journal append errors ([`PersistError::Io`] among them) or the
     /// [`FleetRunner::run_block`] errors.
     pub fn run_block(&mut self, rows: &[Vec<f64>], emit: bool) -> Result<(), PersistError> {
-        self.run_block_decided(rows, emit).map(|_| ())
+        self.run_block_decided_timed(rows, emit).map(drop)
     }
 
     /// [`PersistentFleet::run_block`] that returns the block's captured
     /// decisions (see [`FleetRunner::run_block_decided`]) — the serving
-    /// path: journal first, decide, reply.
+    /// path: journal first, decide, reply — and its wall-time split
+    /// (journal write, fsync, engine decide). The clock reads bracket
+    /// existing calls — they never change what is journaled, decided,
+    /// or traced.
     ///
     /// # Errors
     ///
-    /// Journal append errors ([`PersistError::Io`] among them) or the
-    /// [`FleetRunner::run_block`] errors.
-    pub fn run_block_decided(
-        &mut self,
-        rows: &[Vec<f64>],
-        emit: bool,
-    ) -> Result<BlockDecisions, PersistError> {
-        self.run_block_decided_timed(rows, emit).map(|(decisions, _)| decisions)
-    }
-
-    /// [`PersistentFleet::run_block_decided`] that also reports the
-    /// block's wall-time split (journal write, fsync, engine decide).
-    /// The clock reads bracket existing calls — they never change what
-    /// is journaled, decided, or traced.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PersistentFleet::run_block_decided`].
+    /// Same as [`PersistentFleet::run_block`].
     pub fn run_block_decided_timed(
         &mut self,
         rows: &[Vec<f64>],
@@ -851,6 +858,38 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stop_cost_records_settle_eq3_lane_major() {
+        let config = FleetConfig { trace_stream_base: 40, ..cfg(2, None) };
+        let runner = FleetRunner::new(&config, 1).unwrap();
+        // Lane 0 never restarts (+inf, which no vertex plays in a live
+        // run); lane 1 restarts at 10 s, and its second stop ends
+        // exactly there (eq. 3's `y >= x` boundary).
+        let decisions = BlockDecisions {
+            steps: 2,
+            lanes: 2,
+            thresholds: vec![f64::INFINITY, f64::INFINITY, 10.0, 10.0],
+            vertices: vec![VertexKind::NRand; 4],
+        };
+        let rows = vec![vec![50.0, 5.0], vec![3.0, 10.0]];
+        let cost = |threshold_b, stop_s, online_s, offline_s, restarted| {
+            obsv::TraceEvent::StopCost { threshold_b, stop_s, online_s, offline_s, restarted }
+        };
+        let got: Vec<_> = runner
+            .stop_cost_records(7, &rows, &decisions)
+            .map(|r| (r.stream, r.stop, r.seq, r.event))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (40, 7, 0, cost(f64::INFINITY, 50.0, 50.0, 28.0, false)),
+                (40, 8, 0, cost(f64::INFINITY, 3.0, 3.0, 3.0, false)),
+                (41, 7, 0, cost(10.0, 5.0, 5.0, 5.0, false)),
+                (41, 8, 0, cost(10.0, 10.0, 38.0, 10.0, true)),
+            ]
+        );
     }
 
     #[test]
